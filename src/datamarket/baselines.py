@@ -83,14 +83,15 @@ class UflpInstance:
         return tuple(tuple(m if v is None else v for v in row) for row in self.connection)
 
 
-def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: ExhaustiveBudget):
+def _search_provider(
+    sub: ProviderSubproblem, minimize_band_only: bool, budget: ExhaustiveBudget
+) -> Plan:
     """Exact per-provider support search.
 
     Enumerates subsets of (data center, level) items depth-first, pruning any
     branch whose placement cost (plus bulk fees and a constant per-client
     assignment floor) cannot beat the incumbent. Seeded with the greedy
     closest-placement plan, so the prune is active from the first node.
-    Returns (open item list, client item assignment).
     """
     num_items = sub.num_dcs * sub.num_levels
     if 2**num_items > budget.max_supports:
@@ -135,13 +136,7 @@ def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: 
         return total, assignment
 
     # Greedy seed: each demanded level at its cheapest data center.
-    seed = sorted(
-        {
-            (min(range(sub.num_dcs), key=lambda d: (sub.beta[d][l - 1], d)), l)
-            for l in set(sub.min_levels)
-        }
-    )
-    seed_items = [items.index(it) for it in seed]
+    seed_items = sorted(items.index((d, l)) for l, d in _cheapest_homes(sub).items())
     incumbent, best_sol = evaluate(seed_items)
     assert incumbent is not None, "validated instances always admit the greedy plan"
     best_sol = (seed_items, best_sol)
@@ -167,31 +162,25 @@ def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: 
 
     dfs(0, ZERO, set())
     open_items, assignment = best_sol
-    return [items[k] for k in open_items], [items[assignment[c]] for c in clients]
+    return sub.lower((items[k] for k in open_items), (items[k] for k in assignment))
 
 
-def _plan_from_searches(subs_and_solutions) -> Plan:
-    purchases: set = set()
-    placements: set = set()
-    assignments: set = set()
-    for sub, (open_items, assignment) in subs_and_solutions:
-        pid = sub.provider_id
-        for d, l in open_items:
-            placements.add((pid, sub.dc_ids[d], l))
-            purchases.add((pid, l))
-        for c, (d, l) in enumerate(assignment):
-            assignments.add((pid, sub.client_ids[c], sub.dc_ids[d], l))
-    return Plan(frozenset(purchases), frozenset(placements), frozenset(assignments))
+def _cheapest_homes(sub: ProviderSubproblem) -> dict[int, int]:
+    """Each demanded level's data center with the cheapest provider transfer
+    (lowest index on ties)."""
+    return {
+        l: min(range(sub.num_dcs), key=lambda d: (sub.beta[d][l - 1], d))
+        for l in set(sub.min_levels)
+    }
 
 
 def _exhaustive(instance: MarketInstance, minimize_band_only: bool, budget: ExhaustiveBudget | None):
     budget = budget or ExhaustiveBudget.from_env()
-    solved = []
-    for sub in split_by_provider(instance):
-        if not sub.client_ids:
-            continue
-        solved.append((sub, _search_provider(sub, minimize_band_only, budget)))
-    plan = _plan_from_searches(solved)
+    plan = Plan.union(
+        _search_provider(sub, minimize_band_only, budget)
+        for sub in split_by_provider(instance)
+        if sub.client_ids
+    )
     return plan, evaluate_cost(instance, plan)
 
 
@@ -216,20 +205,15 @@ def nearest_dc(instance: MarketInstance) -> tuple[Plan, CostBreakdown]:
     """Greedy: serve clients exactly what they ask for, storing each demanded
     level at the data center with the cheapest provider transfer (lowest id
     on ties)."""
-    purchases: set = set()
-    placements: set = set()
-    assignments: set = set()
-    for sub in split_by_provider(instance):
-        pid = sub.provider_id
-        home: dict[int, int] = {}
-        for l in sorted(set(sub.min_levels)):
-            home[l] = min(range(sub.num_dcs), key=lambda d: (sub.beta[d][l - 1], d))
-            purchases.add((pid, l))
-            placements.add((pid, sub.dc_ids[home[l]], l))
-        for c, l in enumerate(sub.min_levels):
-            assignments.add((pid, sub.client_ids[c], sub.dc_ids[home[l]], l))
-    plan = Plan(frozenset(purchases), frozenset(placements), frozenset(assignments))
+    plan = Plan.union(
+        _nearest_dc_provider(sub) for sub in split_by_provider(instance) if sub.client_ids
+    )
     return plan, evaluate_cost(instance, plan)
+
+
+def _nearest_dc_provider(sub: ProviderSubproblem) -> Plan:
+    home = _cheapest_homes(sub)
+    return sub.lower(((d, l) for l, d in home.items()), ((home[l], l) for l in sub.min_levels))
 
 
 # --- facility location conversions ------------------------------------------

@@ -34,7 +34,13 @@ from datamarket.baselines import (
     uflp_from_json,
     uflp_to_json,
 )
-from datamarket.datum import DatumConfig, datum_solve, datum_solve_bulk
+from datamarket.datum import (
+    CatalogTooLarge,
+    DatumConfig,
+    LevelDependentCosts,
+    datum_solve,
+    datum_solve_bulk,
+)
 from datamarket.model import (
     MarketInstance,
     Plan,
@@ -48,7 +54,12 @@ from datamarket.model import (
 )
 from datamarket.numeric import format_money, quantize, to_rational
 from datamarket.scenario import InvalidRatioTargets, ScenarioParams, generate, sweep_params
-from datamarket.single_dc import lower_single_dc_plan, solve_single_dc, solve_single_dc_bulk
+from datamarket.single_dc import (
+    LevelDependentExecCost,
+    lower_single_dc_plan,
+    solve_single_dc,
+    solve_single_dc_bulk,
+)
 
 EXIT_OK = 0
 EXIT_INVALID_INSTANCE = 2
@@ -59,6 +70,12 @@ ALGORITHMS = ("datum", "optcost", "optband", "nearestdc", "single-dc")
 
 CSV_HEADER = "seed,algorithm,oper,exec,purch,total,runtime_ms,fingerprint,error"
 SWEEP_HEADER = "knob,target," + CSV_HEADER
+
+# Solver errors: `solve` ends with an exit code for each, and a compare/sweep
+# row carries its message in the error column.
+SOLVER_ERRORS = (
+    OversizeInstance, CatalogTooLarge, LevelDependentCosts, LevelDependentExecCost, ValueError
+)
 
 
 @dataclass(frozen=True)
@@ -98,17 +115,12 @@ def run_algorithm(instance: MarketInstance, name: str, config: DatumConfig):
         if len(instance.data_centers) != 1:
             raise ValueError("--algorithm single-dc needs a one-data-center instance")
         solver = solve_single_dc_bulk if instance.contracting == "bulk" else solve_single_dc
-        parts = [
+        plan = Plan.union(
             lower_single_dc_plan(sub, solver(sub))
             for sub in split_by_provider(instance)
             if sub.client_ids
-        ]
-        merged = Plan(
-            frozenset().union(*(p.purchases for p in parts)) if parts else frozenset(),
-            frozenset().union(*(p.placements for p in parts)) if parts else frozenset(),
-            frozenset().union(*(p.assignments for p in parts)) if parts else frozenset(),
         )
-        return merged, evaluate_cost(instance, merged)
+        return plan, evaluate_cost(instance, plan)
     raise KeyError(name)
 
 
@@ -185,6 +197,12 @@ def cmd_solve(args) -> int:
     except OversizeInstance as exc:
         print(f"instance too large for exhaustive search: {exc}", file=sys.stderr)
         return EXIT_OVERSIZE
+    except CatalogTooLarge as exc:
+        print(f"replica catalog too large: {exc} (lower --max-replicas)", file=sys.stderr)
+        return EXIT_OVERSIZE
+    except (LevelDependentCosts, LevelDependentExecCost) as exc:
+        print(f"{args.algorithm} needs level-independent costs: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INSTANCE
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID_INSTANCE
@@ -231,7 +249,7 @@ def _csv_rows_for_instance(instance, seeds_label, algorithms, config, timings):
                     breakdown.total,
                 )
             )
-        except OversizeInstance as exc:
+        except SOLVER_ERRORS as exc:
             rows.append((seeds_label, name, "", "", "", "", "", mark, str(exc).replace(",", ";"), None))
     return rows
 

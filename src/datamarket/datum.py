@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 from datamarket.model import (
     CostBreakdown,
@@ -38,11 +37,15 @@ ZERO = Fraction(0)
 
 
 class CatalogTooLarge(Exception):
-    """The replica-subset family exceeds the configured ceiling."""
+    """The replica-subset family exceeds CATALOG_CEILING."""
 
 
 class LevelDependentCosts(Exception):
     """Bulk placement needs level-independent operation and execution costs."""
+
+
+# Largest replica-subset family a catalog may hold.
+CATALOG_CEILING = 4096
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,6 @@ class DatumConfig:
     max_replicas: int = 2
     mu1: Fraction = ZERO
     mu2: Fraction = ZERO
-    catalog_ceiling: int = 4096
 
 
 @dataclass(frozen=True)
@@ -70,17 +72,17 @@ class SubsetCatalog:
 @dataclass(frozen=True)
 class TransformedCosts:
     beta_star: tuple[Fraction, ...]
-    mu1: Fraction
-    mu2: Fraction
 
 
 @dataclass(frozen=True)
 class StepOneResult:
-    """Aggregated purchasing decisions: which levels are bought and which
-    level serves each client."""
+    """Aggregated purchasing decisions: which levels are bought, which level
+    serves each client, and the category program's objective (None when
+    Step 1 is skipped, as under bulk contracting)."""
 
     open_levels: frozenset[int]
     client_levels: tuple[int, ...]  # parallel to the subproblem's client_ids
+    objective: Fraction | None = None
 
     def level_group(self, level: int) -> tuple[int, ...]:
         return tuple(c for c, l in enumerate(self.client_levels) if l == level)
@@ -94,21 +96,16 @@ class JointPlan:
     client_levels: tuple[int, ...]
 
 
-def build_subset_catalog(sub: ProviderSubproblem, max_replicas: int) -> SubsetCatalog:
-    return build_subset_catalog_capped(sub, max_replicas, DatumConfig().catalog_ceiling)
-
-
-def build_subset_catalog_capped(
-    sub: ProviderSubproblem, max_replicas: int, ceiling: int
-) -> SubsetCatalog:
+def build_subset_catalog_capped(sub: ProviderSubproblem, max_replicas: int) -> SubsetCatalog:
     """All nonempty data-center subsets of size <= max_replicas with exact
-    aggregate costs: beta_v sums members, alpha_vc takes the member minimum."""
+    aggregate costs: beta_v sums members, alpha_vc takes the member minimum.
+    Refuses families larger than CATALOG_CEILING."""
     num_dcs = sub.num_dcs
     if not 1 <= max_replicas <= num_dcs:
         raise ValueError(f"max_replicas must be in 1..{num_dcs}")
     count = sum(math.comb(num_dcs, k) for k in range(1, max_replicas + 1))
-    if count > ceiling:
-        raise CatalogTooLarge(f"{count} subsets exceeds the ceiling of {ceiling}")
+    if count > CATALOG_CEILING:
+        raise CatalogTooLarge(f"{count} subsets exceeds the ceiling of {CATALOG_CEILING}")
 
     subsets: list[tuple[int, ...]] = []
     for size in range(1, max_replicas + 1):
@@ -157,7 +154,7 @@ def transformed_costs(
             if best is None or score < best:
                 best = score
         beta_star.append(best if best is not None else ZERO)
-    return TransformedCosts(tuple(beta_star), mu1, mu2)
+    return TransformedCosts(tuple(beta_star))
 
 
 def datum_step1(sub: ProviderSubproblem, tc: TransformedCosts) -> StepOneResult:
@@ -167,7 +164,7 @@ def datum_step1(sub: ProviderSubproblem, tc: TransformedCosts) -> StepOneResult:
     plan = _solve_categories(tc.beta_star, fees, profile.counts)
     choice = plan.choice_map()
     client_levels = tuple(choice[ml] for ml in sub.min_levels)
-    return StepOneResult(plan.open_levels, client_levels)
+    return StepOneResult(plan.open_levels, client_levels, plan.objective)
 
 
 def datum_step2(
@@ -204,54 +201,48 @@ def lower_joint_plan(sub: ProviderSubproblem, jp: JointPlan) -> Plan:
     """Expand subset placements to per-data-center decisions; each client is
     served from the subset member with the cheapest delivery (lowest index
     on ties)."""
-    pid = sub.provider_id
-    purchases = set()
-    placements = set()
-    assignments = set()
     subset_of = dict(jp.placements)
-    for level, subset in jp.placements:
-        purchases.add((pid, level))
-        for d in subset:
-            placements.add((pid, sub.dc_ids[d], level))
-    for c, level in enumerate(jp.client_levels):
-        subset = subset_of[level]
-        best = min(subset, key=lambda d: (sub.alpha[d][c][level - 1], d))
-        assignments.add((pid, sub.client_ids[c], sub.dc_ids[best], level))
-    return Plan(frozenset(purchases), frozenset(placements), frozenset(assignments))
+    served = [
+        (min(subset_of[level], key=lambda d: (sub.alpha[d][c][level - 1], d)), level)
+        for c, level in enumerate(jp.client_levels)
+    ]
+    placed = ((d, level) for level, subset in jp.placements for d in subset)
+    return sub.lower(placed, served)
 
 
-def _merge_plans(parts: Sequence[Plan]) -> Plan:
-    purchases: set = set()
-    placements: set = set()
-    assignments: set = set()
-    for part in parts:
-        purchases |= part.purchases
-        placements |= part.placements
-        assignments |= part.assignments
-    return Plan(frozenset(purchases), frozenset(placements), frozenset(assignments))
+def _catalog(sub: ProviderSubproblem, config: DatumConfig) -> SubsetCatalog:
+    return build_subset_catalog_capped(sub, min(config.max_replicas, sub.num_dcs))
+
+
+def _step1(sub: ProviderSubproblem, catalog: SubsetCatalog, config: DatumConfig) -> StepOneResult:
+    return datum_step1(sub, transformed_costs(catalog, sub, config.mu1, config.mu2))
+
+
+def _solve_provider(sub: ProviderSubproblem, config: DatumConfig) -> Plan:
+    """Datum on one provider. Under bulk contracting Step 1 is replaced by
+    buying the top level for every client, which needs level-independent
+    costs."""
+    if sub.contracting == "bulk":
+        _require_level_independent(sub)
+        top = sub.num_levels
+        s1 = StepOneResult(frozenset([top]), (top,) * len(sub.client_ids))
+        catalog = _catalog(sub, config)
+    else:
+        catalog = _catalog(sub, config)
+        s1 = _step1(sub, catalog, config)
+    return lower_joint_plan(sub, datum_step2(sub, catalog, s1))
 
 
 def datum_solve(
     instance: MarketInstance, config: DatumConfig | None = None
 ) -> tuple[Plan, CostBreakdown]:
-    """Run the full per-provider pipeline and price the resulting plan.
-
-    Providers are independent; results merge in provider order.
-    """
+    """Run the per-provider pipeline and price the merged plan."""
     config = config or DatumConfig()
     if instance.contracting != "per_query":
         raise ValueError("datum_solve handles per-query contracting; use datum_solve_bulk")
-    parts = []
-    for sub in split_by_provider(instance):
-        if not sub.client_ids:
-            continue
-        max_replicas = min(config.max_replicas, sub.num_dcs)
-        catalog = build_subset_catalog_capped(sub, max_replicas, config.catalog_ceiling)
-        tc = transformed_costs(catalog, sub, config.mu1, config.mu2)
-        s1 = datum_step1(sub, tc)
-        jp = datum_step2(sub, catalog, s1)
-        parts.append(lower_joint_plan(sub, jp))
-    plan = _merge_plans(parts)
+    plan = Plan.union(
+        _solve_provider(sub, config) for sub in split_by_provider(instance) if sub.client_ids
+    )
     return plan, evaluate_cost(instance, plan)
 
 
@@ -262,17 +253,8 @@ def step1_objective(
     the purchased levels plus per-query fees. With mu1 = 0 this lower-bounds
     the operation-plus-purchasing cost of any feasible solution."""
     config = config or DatumConfig()
-    total = ZERO
-    for sub in split_by_provider(instance):
-        if not sub.client_ids:
-            continue
-        max_replicas = min(config.max_replicas, sub.num_dcs)
-        catalog = build_subset_catalog_capped(sub, max_replicas, config.catalog_ceiling)
-        tc = transformed_costs(catalog, sub, config.mu1, config.mu2)
-        profile = categorize(sub)
-        fees = [lvl.per_query_fee for lvl in sub.levels]
-        total += _solve_categories(tc.beta_star, fees, profile.counts).objective
-    return total
+    subs = [sub for sub in split_by_provider(instance) if sub.client_ids]
+    return sum((_step1(sub, _catalog(sub, config), config).objective for sub in subs), ZERO)
 
 
 def datum_solve_bulk(
@@ -284,18 +266,9 @@ def datum_solve_bulk(
     config = config or DatumConfig()
     if instance.contracting != "bulk":
         raise ValueError("datum_solve_bulk needs a bulk-contracting instance")
-    parts = []
-    for sub in split_by_provider(instance):
-        if not sub.client_ids:
-            continue
-        _require_level_independent(sub)
-        top = sub.num_levels
-        s1 = StepOneResult(frozenset([top]), tuple(top for _ in sub.client_ids))
-        max_replicas = min(config.max_replicas, sub.num_dcs)
-        catalog = build_subset_catalog_capped(sub, max_replicas, config.catalog_ceiling)
-        jp = datum_step2(sub, catalog, s1)
-        parts.append(lower_joint_plan(sub, jp))
-    plan = _merge_plans(parts)
+    plan = Plan.union(
+        _solve_provider(sub, config) for sub in split_by_provider(instance) if sub.client_ids
+    )
     return plan, evaluate_cost(instance, plan)
 
 

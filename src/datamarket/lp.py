@@ -15,7 +15,6 @@ variables); no sparse formats, no dual simplex.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -46,7 +45,7 @@ class LpSolution:
     is_extreme_point: bool
 
 
-def lp_solve(lp: LinearProgram, debug: bool = False) -> LpSolution:
+def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve to optimality, returning an optimal extreme point exactly."""
     n = len(lp.objective)
     rows = []
@@ -78,7 +77,7 @@ def lp_solve(lp: LinearProgram, debug: bool = False) -> LpSolution:
             return LpSolution("infeasible", (), None, False)
     rows = kept
 
-    tab = _Tableau(n, rows, lp.objective, debug)
+    tab = _Tableau(n, rows, lp.objective)
     status = tab.solve()
     if status != "optimal":
         return LpSolution(status, (), None, False)
@@ -105,9 +104,8 @@ def _verify(lp: LinearProgram, values: tuple[Fraction, ...]) -> None:
 class _Tableau:
     """Integer simplex tableau. True values are entry/den with den > 0."""
 
-    def __init__(self, n, rows, objective, debug=False):
+    def __init__(self, n, rows, objective):
         self.n = n
-        self.debug = debug
         normalized = []
         for coeffs, rel, rhs in rows:
             if rhs < 0:
@@ -191,8 +189,6 @@ class _Tableau:
             leave = self._ratio_test(enter)
             if leave < 0:
                 return "unbounded"
-            if self.debug:
-                self._dump(enter, leave)
             basic.discard(self.basis[leave])
             basic.add(enter)
             self._pivot(leave, enter)
@@ -264,9 +260,3 @@ class _Tableau:
             if b < self.n:
                 values[b] = Fraction(self.T[i][-1], self.den)
         return tuple(values)
-
-    def _dump(self, enter: int, leave: int) -> None:
-        print(f"pivot enter=x{enter} leave=x{self.basis[leave]} den={self.den}", file=sys.stderr)
-        for i, row in enumerate(self.T):
-            cells = " ".join(f"{v}" for v in row)
-            print(f"  x{self.basis[i]:<3} | {cells}", file=sys.stderr)

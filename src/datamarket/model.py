@@ -82,9 +82,6 @@ class Client:
     demands: tuple[tuple[str, Fraction], ...]
     location: tuple[float, float] | None = None
 
-    def demand_map(self) -> dict[str, Fraction]:
-        return dict(self.demands)
-
 
 @dataclass(frozen=True)
 class ExecCostModel:
@@ -112,9 +109,6 @@ class MarketInstance:
     exec_cost: ExecCostModel
     contracting: str = "per_query"  # "per_query" | "bulk"
 
-    def provider_index(self) -> dict[str, int]:
-        return {p.id: i for i, p in enumerate(self.providers)}
-
     def dc_index(self) -> dict[str, int]:
         return {d.id: i for i, d in enumerate(self.data_centers)}
 
@@ -139,6 +133,16 @@ class Plan:
     @staticmethod
     def empty() -> "Plan":
         return Plan(frozenset(), frozenset(), frozenset())
+
+    @staticmethod
+    def union(parts: Iterable["Plan"]) -> "Plan":
+        """Merge per-provider plans; providers never share a decision."""
+        parts = list(parts)
+        return Plan(
+            frozenset().union(*(p.purchases for p in parts)),
+            frozenset().union(*(p.placements for p in parts)),
+            frozenset().union(*(p.assignments for p in parts)),
+        )
 
     def served_level(self) -> dict[tuple[str, str], tuple[str, int]]:
         """(client, provider) -> (data center, level), recomputed from x."""
@@ -165,9 +169,6 @@ class CostBreakdown:
             "purch": format_money(self.purch),
             "total": format_money(self.total),
         }
-
-
-ZERO_COST = CostBreakdown(Fraction(0), Fraction(0), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,26 @@ class ProviderSubproblem:
         if fee is None:
             raise MissingBulkFees(f"provider {self.provider_id} level {level} has no bulk fee")
         return fee
+
+    def lower(
+        self, placed: Iterable[tuple[int, int]], served: Iterable[tuple[int, int]]
+    ) -> Plan:
+        """The id-space Plan of index-space decisions.
+
+        placed: the (data center index, level) copies stored; their levels
+        are the purchases. served: each client's (data center index, level),
+        parallel to client_ids.
+        """
+        pid = self.provider_id
+        placed = set(placed)
+        return Plan(
+            purchases=frozenset((pid, level) for _, level in placed),
+            placements=frozenset((pid, self.dc_ids[d], level) for d, level in placed),
+            assignments=frozenset(
+                (pid, client_id, self.dc_ids[d], level)
+                for client_id, (d, level) in zip(self.client_ids, served, strict=True)
+            ),
+        )
 
 
 def exec_cost_value(

@@ -318,14 +318,8 @@ def lower_single_dc_plan(sub: ProviderSubproblem, plan: SingleDcPlan) -> Plan:
     for the (single) data center of the subproblem."""
     if sub.num_dcs != 1:
         raise ValueError("lowering needs exactly one data center")
-    dc = sub.dc_ids[0]
-    pid = sub.provider_id
     choice = plan.choice_map()
-    return Plan(
-        purchases=frozenset((pid, level) for level in plan.open_levels),
-        placements=frozenset((pid, dc, level) for level in plan.open_levels),
-        assignments=frozenset(
-            (pid, cid, dc, choice[min_level])
-            for cid, min_level in zip(sub.client_ids, sub.min_levels)
-        ),
+    return sub.lower(
+        ((0, level) for level in plan.open_levels),
+        ((0, choice[min_level]) for min_level in sub.min_levels),
     )

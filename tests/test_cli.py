@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
+import pytest
+
+from conftest import build_instance
 from datamarket.cli import main
 from datamarket.model import (
     evaluate_cost,
@@ -91,6 +95,45 @@ def test_solve_oversize(tmp_path, capsys, monkeypatch, instance_a):
     assert "DATUM_BUDGET" in err
 
 
+def test_solve_level_dependent_exec_costs(tmp_path, capsys):
+    inst = build_instance(
+        beta=[[3, 4]], fees=[1, 2], demands=[1, 2], alpha=[[[1, 2], [1, 2]]],
+        level_independent=False,
+    )
+    path = write_instance(tmp_path, inst)
+    for algorithm in ("datum", "single-dc"):
+        code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", algorithm)
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == [
+            f"{algorithm} needs level-independent costs:"
+            " provider p1: execution costs vary with level"
+        ]
+    # The exhaustive baseline prices levels separately and still solves it.
+    code, _, _ = run(capsys, "solve", "--instance", path, "--algorithm", "optcost")
+    assert code == 0
+
+
+def test_solve_bulk_level_dependent_oper_costs(tmp_path, capsys):
+    inst = build_instance(
+        beta=[[3, 9]], fees=[1, 2], bulk_fees=[1, 2], demands=[1], alpha=[[0]],
+        contracting="bulk",
+    )
+    path = write_instance(tmp_path, inst)
+    code, _, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "operation costs vary with level" in err
+
+
+def test_solve_catalog_too_large(tmp_path, capsys):
+    inst = build_instance(beta=[[1]] * 13, fees=[1], demands=[1], alpha=[[0]] * 13)
+    path = write_instance(tmp_path, inst)
+    code, stdout, err = run(
+        capsys, "solve", "--instance", path, "--algorithm", "datum", "--max-replicas", "13"
+    )
+    assert code == 3 and stdout == ""
+    assert len(err.splitlines()) == 1 and "8191 subsets" in err
+
+
 COMPARE_FLAGS = (
     "--seeds", "1,2",
     "--algorithms", "datum,optcost,optband,nearestdc",
@@ -137,6 +180,21 @@ def test_compare_oversize_rows_marked(capsys, monkeypatch):
     assert all(not l.split(",")[8] for l in datum_rows)
 
 
+def test_compare_isolates_a_failing_row(capsys):
+    code, stdout, _ = run(
+        capsys, "compare", "--seeds", "1", "--algorithms", "datum,single-dc",
+        "--data-centers", "3", "--providers", "2", "--clients", "4", "--levels", "2",
+    )
+    assert code == 0
+    header, datum_row, single_dc_row = stdout.strip().splitlines()
+    datum = dict(zip(header.split(","), datum_row.split(",")))
+    assert datum["algorithm"] == "datum" and datum["error"] == ""
+    assert all(datum[k] for k in ("oper", "exec", "purch", "total", "fingerprint"))
+    single_dc = dict(zip(header.split(","), single_dc_row.split(",")))
+    assert single_dc["algorithm"] == "single-dc" and single_dc["total"] == ""
+    assert "one-data-center" in single_dc["error"]
+
+
 def test_sweep_csv_shape(capsys):
     code, stdout, _ = run(
         capsys,
@@ -175,3 +233,61 @@ def test_convert_round_trip(tmp_path, capsys, instance_g):
     _, breakdown = opt_cost(rebuilt)
     # Fee (2) joins the connection costs in the UFLP view: optimum 7 + 1 + 2.
     assert breakdown.total == 10
+
+
+# sha256 of compare/sweep stdout for fixed flags. Together the flag sets run
+# all five algorithms (single-dc on a one-data-center market), a Datum row
+# with mu1/mu2 set, and both sweep knobs. A change that keeps the plans and
+# totals must reproduce these bytes exactly.
+PINNED_OUTPUT = {
+    "compare_all_one_dc": (
+        (
+            "compare", "--seeds", "1,2", "--algorithms", "datum,optcost,optband,nearestdc,single-dc",
+            "--data-centers", "1", "--providers", "3", "--clients", "8", "--levels", "4",
+            "--zipf-shape", "1", "--ratio-bf", "0.5",
+        ),
+        "e8fd5a0ddf2f70df5e3a2eed44fc39c717ebd0e066d37ebb6b58f3a899238c72",
+    ),
+    "compare_default_geo": (
+        (
+            "compare", "--seeds", "1,2",
+            "--data-centers", "3", "--providers", "3", "--clients", "8", "--levels", "3",
+            "--zipf-shape", "1", "--ratio-bf", "0.5", "--ratio-ie", "0",
+        ),
+        "3a5b06236c4fd59b16a625bacbced127e72d9267e42527b12afd64a3843ae9d6",
+    ),
+    "compare_mu_geo": (
+        (
+            "compare", "--seeds", "1,2", "--algorithms", "datum", "--mu1", "0.5", "--mu2", "1",
+            "--data-centers", "3", "--providers", "3", "--clients", "8", "--levels", "3",
+            "--zipf-shape", "1", "--ratio-bf", "0.5", "--ratio-ie", "0",
+        ),
+        "e34185ab4b014a24e605ce9f2655c10efc798910d6a8c053da4cbd691db99688",
+    ),
+    "sweep_band_to_fee": (
+        (
+            "sweep", "--knob", "band_to_fee", "--from", "-1", "--to", "1", "--steps", "3",
+            "--seeds", "1",
+            "--data-centers", "2", "--providers", "2", "--clients", "6", "--levels", "3",
+            "--zipf-shape", "1",
+        ),
+        "c5789b26bb6961cd3981d8ac9e52064c8a88b5c560d8105cb4e9ed0ede2f79d6",
+    ),
+    "sweep_internal_to_external": (
+        (
+            "sweep", "--knob", "internal_to_external", "--from", "-2", "--to", "0", "--steps", "3",
+            "--seeds", "1", "--algorithms", "datum,optcost,nearestdc", "--max-replicas", "3",
+            "--data-centers", "3", "--providers", "2", "--clients", "6", "--levels", "2",
+            "--zipf-shape", "1",
+        ),
+        "655cad66f77dda1fa1ceebf528deaa9516d109190be96c74ce904f89c7707407",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OUTPUT))
+def test_compare_sweep_bytes_pinned(capsys, name):
+    argv, digest = PINNED_OUTPUT[name]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest

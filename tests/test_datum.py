@@ -8,11 +8,11 @@ import pytest
 from conftest import build_instance
 from datamarket.baselines import opt_cost
 from datamarket.datum import (
+    CATALOG_CEILING,
     CatalogTooLarge,
     DatumConfig,
     LevelDependentCosts,
     StepOneResult,
-    build_subset_catalog,
     build_subset_catalog_capped,
     datum_solve,
     datum_solve_bulk,
@@ -30,7 +30,7 @@ F = Fraction
 
 def test_catalog_two_dcs(instance_g):
     (sub,) = split_by_provider(instance_g)
-    catalog = build_subset_catalog(sub, max_replicas=2)
+    catalog = build_subset_catalog_capped(sub, max_replicas=2)
     assert catalog.subsets == ((0,), (1,), (0, 1))
     assert [row[0] for row in catalog.beta_v] == [5, 7, 12]
     assert [row[0][0] for row in catalog.alpha_vc] == [4, 1, 1]
@@ -39,22 +39,24 @@ def test_catalog_two_dcs(instance_g):
 def test_catalog_singletons_only():
     inst = build_instance(beta=[[1], [2], [3]], fees=[1], demands=[1], alpha=[[0], [0], [0]])
     (sub,) = split_by_provider(inst)
-    catalog = build_subset_catalog(sub, max_replicas=1)
+    catalog = build_subset_catalog_capped(sub, max_replicas=1)
     assert len(catalog.subsets) == 3
 
 
 def test_catalog_ceiling():
+    # Thirteen data centers have 2^13 - 1 = 8191 nonempty subsets.
     inst = build_instance(
-        beta=[[1]] * 8, fees=[1], demands=[1], alpha=[[0]] * 8
+        beta=[[1]] * 13, fees=[1], demands=[1], alpha=[[0]] * 13
     )
     (sub,) = split_by_provider(inst)
+    assert CATALOG_CEILING < 2**13 - 1
     with pytest.raises(CatalogTooLarge):
-        build_subset_catalog_capped(sub, max_replicas=8, ceiling=100)
+        build_subset_catalog_capped(sub, max_replicas=13)
 
 
 def test_transformed_costs_conservative(instance_g):
     (sub,) = split_by_provider(instance_g)
-    catalog = build_subset_catalog(sub, max_replicas=2)
+    catalog = build_subset_catalog_capped(sub, max_replicas=2)
     tc = transformed_costs(catalog, sub)
     assert tc.beta_star == (F(5),)
 
@@ -62,7 +64,7 @@ def test_transformed_costs_conservative(instance_g):
 def test_transformed_costs_mu1_counts_delivery(instance_g):
     # A subset's score adds its delivery costs: min(5+4, 7+1, 12+1) = 8.
     (sub,) = split_by_provider(instance_g)
-    catalog = build_subset_catalog(sub, max_replicas=2)
+    catalog = build_subset_catalog_capped(sub, max_replicas=2)
     tc = transformed_costs(catalog, sub, mu1=F(1), mu2=F(0))
     assert tc.beta_star == (F(8),)
 
@@ -74,14 +76,14 @@ def test_transformed_costs_mu1_zero_is_singleton_min():
         beta = [[F(rng.randint(0, 30))] for _ in range(num_dcs)]
         inst = build_instance(beta=beta, fees=[1], demands=[1], alpha=[[0]] * num_dcs)
         (sub,) = split_by_provider(inst)
-        catalog = build_subset_catalog(sub, max_replicas=num_dcs)
+        catalog = build_subset_catalog_capped(sub, max_replicas=num_dcs)
         tc = transformed_costs(catalog, sub)
         assert tc.beta_star[0] == min(row[0] for row in beta)
 
 
 def test_step1_single_level(instance_g):
     (sub,) = split_by_provider(instance_g)
-    catalog = build_subset_catalog(sub, max_replicas=2)
+    catalog = build_subset_catalog_capped(sub, max_replicas=2)
     s1 = datum_step1(sub, transformed_costs(catalog, sub))
     assert s1.open_levels == frozenset({1})
     assert s1.client_levels == (1,)
@@ -91,7 +93,7 @@ def test_step1_single_level(instance_g):
 def test_step1_matches_single_dc_on_one_dc(instance_a, instance_b):
     for inst, opens in ((instance_a, {2}), (instance_b, {1, 2})):
         (sub,) = split_by_provider(inst)
-        catalog = build_subset_catalog(sub, max_replicas=1)
+        catalog = build_subset_catalog_capped(sub, max_replicas=1)
         s1 = datum_step1(sub, transformed_costs(catalog, sub))
         assert s1.open_levels == frozenset(opens)
         assert s1.open_levels == solve_single_dc(sub).open_levels
@@ -100,7 +102,7 @@ def test_step1_matches_single_dc_on_one_dc(instance_a, instance_b):
 def test_step2_places_at_argmin(instance_g):
     # Scores: {dc1}: 5+4=9, {dc2}: 7+1=8, {dc1,dc2}: 12+1=13.
     (sub,) = split_by_provider(instance_g)
-    catalog = build_subset_catalog(sub, max_replicas=2)
+    catalog = build_subset_catalog_capped(sub, max_replicas=2)
     s1 = datum_step1(sub, transformed_costs(catalog, sub))
     jp = datum_step2(sub, catalog, s1)
     assert jp.placements == ((1, (1,)),)
@@ -108,7 +110,7 @@ def test_step2_places_at_argmin(instance_g):
 
 def test_step2_empty_group_uses_cheapest_subset(instance_g):
     (sub,) = split_by_provider(instance_g)
-    catalog = build_subset_catalog(sub, max_replicas=2)
+    catalog = build_subset_catalog_capped(sub, max_replicas=2)
     jp = datum_step2(sub, catalog, StepOneResult(frozenset({1}), ()))
     assert jp.placements == ((1, (0,)),)
 
@@ -197,7 +199,7 @@ def test_step2_is_optimal_given_step1():
             alpha=[[F(rng.randint(0, 9)) for _ in range(clients)] for _ in range(num_dcs)],
         )
         (sub,) = split_by_provider(inst)
-        catalog = build_subset_catalog(sub, max_replicas=num_dcs)
+        catalog = build_subset_catalog_capped(sub, max_replicas=num_dcs)
         s1 = datum_step1(sub, transformed_costs(catalog, sub))
         jp = datum_step2(sub, catalog, s1)
         chosen = dict(jp.placements)
