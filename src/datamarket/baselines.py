@@ -35,7 +35,7 @@ from datamarket.model import (
     evaluate_cost,
     split_by_provider,
 )
-from datamarket.numeric import format_money, to_rational
+from datamarket.numeric import MICROS, format_money, to_micros, to_rational
 
 ZERO = Fraction(0)
 
@@ -92,6 +92,7 @@ def _search_provider(
     branch whose placement cost (plus bulk fees and a constant per-client
     assignment floor) cannot beat the incumbent. Seeded with the greedy
     closest-placement plan, so the prune is active from the first node.
+    All costs are int micro-units.
     """
     num_items = sub.num_dcs * sub.num_levels
     if 2**num_items > budget.max_supports:
@@ -101,38 +102,40 @@ def _search_provider(
         )
     items = [(d, l) for d in range(sub.num_dcs) for l in range(1, sub.num_levels + 1)]
     beta_of = [sub.beta[d][l - 1] for d, l in items]
+    levels = range(1, sub.num_levels + 1)
+    charged = not minimize_band_only
     bulk = sub.contracting == "bulk"
+    # Per-level fee added to each assignment, and per-level one-time fee.
+    fee_of = [to_micros(sub.fee(l)) if charged and not bulk else 0 for l in levels]
+    bulk_fee_of = [to_micros(sub.bulk_fee(l)) if charged and bulk else 0 for l in levels]
 
-    def assign_cost(k: int, c: int) -> Fraction:
+    def assign_cost(k: int, c: int) -> int:
         d, l = items[k]
-        cost = sub.alpha[d][c][l - 1]
-        if not minimize_band_only and not bulk:
-            cost += sub.fee(l)
-        return cost
+        return sub.alpha[d][c][l - 1] + fee_of[l - 1]
 
-    clients = range(len(sub.client_ids))
-    allowed = [
-        [k for k, (d, l) in enumerate(items) if l >= sub.min_levels[c]] for c in clients
-    ]
-    floor = sum((min(assign_cost(k, c) for k in allowed[c]) for c in clients), ZERO)
+    # Each client's usable items with their assignment costs, best first
+    # (cheapest, then lowest level, then lowest data-center index).
+    prefs = []
+    for c in range(len(sub.client_ids)):
+        usable = [k for k, (d, l) in enumerate(items) if l >= sub.min_levels[c]]
+        usable.sort(key=lambda k: (assign_cost(k, c), items[k][1], items[k][0]))
+        prefs.append([(k, assign_cost(k, c)) for k in usable])
+    floor = sum(ranked[0][1] for ranked in prefs)
 
-    def bulk_fees(levels: set[int]) -> Fraction:
-        if not bulk or minimize_band_only:
-            return ZERO
-        return sum((sub.bulk_fee(l) for l in levels), ZERO)
+    def bulk_fees(level_set: set[int]) -> int:
+        return sum(bulk_fee_of[l - 1] for l in level_set)
 
     def evaluate(open_items: list[int]):
         open_set = set(open_items)
-        total = sum((beta_of[k] for k in open_items), ZERO)
+        total = sum(beta_of[k] for k in open_items)
         total += bulk_fees({items[k][1] for k in open_items})
         assignment = []
-        for c in clients:
-            usable = [k for k in allowed[c] if k in open_set]
-            if not usable:
+        for ranked in prefs:
+            best = next((kc for kc in ranked if kc[0] in open_set), None)
+            if best is None:
                 return None, None
-            best = min(usable, key=lambda k: (assign_cost(k, c), items[k][1], items[k][0]))
-            assignment.append(best)
-            total += assign_cost(best, c)
+            assignment.append(best[0])
+            total += best[1]
         return total, assignment
 
     # Greedy seed: each demanded level at its cheapest data center.
@@ -143,7 +146,7 @@ def _search_provider(
 
     chosen: list[int] = []
 
-    def dfs(k: int, beta_sum: Fraction, level_set: set[int]) -> None:
+    def dfs(k: int, beta_sum: int, level_set: set[int]) -> None:
         nonlocal incumbent, best_sol
         if beta_sum + bulk_fees(level_set) + floor >= incumbent:
             return
@@ -160,7 +163,7 @@ def _search_provider(
         chosen.pop()
         dfs(k + 1, beta_sum, level_set)
 
-    dfs(0, ZERO, set())
+    dfs(0, 0, set())
     open_items, assignment = best_sol
     return sub.lower((items[k] for k in open_items), (items[k] for k in assignment))
 
@@ -231,10 +234,12 @@ def to_uflp(sub: ProviderSubproblem) -> UflpInstance:
     for d in range(sub.num_dcs):
         for l in range(1, sub.num_levels + 1):
             facility_ids.append(f"{sub.dc_ids[d]}:l{l}")
-            open_costs.append(sub.beta[d][l - 1])
+            open_costs.append(Fraction(sub.beta[d][l - 1], MICROS))
             connection.append(
                 tuple(
-                    sub.fee(l) + sub.alpha[d][c][l - 1] if l >= sub.min_levels[c] else None
+                    sub.fee(l) + Fraction(sub.alpha[d][c][l - 1], MICROS)
+                    if l >= sub.min_levels[c]
+                    else None
                     for c in range(len(sub.client_ids))
                 )
             )

@@ -158,11 +158,14 @@ def _scenario_params(args, seed: int) -> ScenarioParams:
 
 
 def _datum_config(args) -> DatumConfig:
-    return DatumConfig(
-        max_replicas=getattr(args, "max_replicas", 2),
-        mu1=to_rational(getattr(args, "mu1", "0")),
-        mu2=to_rational(getattr(args, "mu2", "0")),
-    )
+    """Datum's options from the flags; a ValueError names the bad flag."""
+    mu = {}
+    for name in ("mu1", "mu2"):
+        try:
+            mu[name] = to_rational(getattr(args, name, "0"))
+        except ValueError as exc:
+            raise ValueError(f"invalid --{name}: {exc}") from exc
+    return DatumConfig(max_replicas=getattr(args, "max_replicas", 2), **mu)
 
 
 def cmd_generate(args) -> int:
@@ -190,7 +193,11 @@ def cmd_solve(args) -> int:
     if args.algorithm not in ALGORITHMS:
         print(f"unknown algorithm: {args.algorithm}", file=sys.stderr)
         return EXIT_UNKNOWN_ALGORITHM
-    config = _datum_config(args)
+    try:
+        config = _datum_config(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID_INSTANCE
     started = time.perf_counter()
     try:
         plan, breakdown = run_algorithm(instance, args.algorithm, config)
@@ -272,7 +279,11 @@ def cmd_compare(args) -> int:
     except KeyError as exc:
         print(f"unknown algorithm: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_ALGORITHM
-    config = _datum_config(args)
+    try:
+        config = _datum_config(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID_INSTANCE
     rows = []
     for seed in sorted(_parse_seeds(args.seeds)):
         try:
@@ -308,7 +319,11 @@ def cmd_sweep(args) -> int:
     except KeyError as exc:
         print(f"unknown algorithm: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_ALGORITHM
-    config = _datum_config(args)
+    try:
+        config = _datum_config(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID_INSTANCE
     base = _scenario_params(args, 0)
     try:
         points = sweep_params(base, args.knob, args.start, args.stop, args.steps)

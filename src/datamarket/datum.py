@@ -30,8 +30,8 @@ from datamarket.model import (
     evaluate_cost,
     split_by_provider,
 )
-from datamarket.numeric import quantize
-from datamarket.single_dc import _solve_categories, categorize
+from datamarket.numeric import MICROS, quantize
+from datamarket.single_dc import LevelDependentExecCost, _solve_categories, categorize
 
 ZERO = Fraction(0)
 
@@ -57,16 +57,16 @@ class DatumConfig:
 
 @dataclass(frozen=True)
 class SubsetCatalog:
-    """Candidate replica sets with aggregated costs.
+    """Candidate replica sets with aggregated costs, in int micro-units.
 
     beta_v[k][l]: total placement cost of storing level l+1 on every member
-    of subset k. alpha_vc[k][c][l]: cheapest delivery of level l+1 from any
-    member of subset k to local client c.
+    of subset k. alpha_vc[k][c]: cheapest delivery from any member of subset
+    k to local client c (execution costs do not depend on the level here).
     """
 
     subsets: tuple[tuple[int, ...], ...]
-    beta_v: tuple[tuple[Fraction, ...], ...]
-    alpha_vc: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    beta_v: tuple[tuple[int, ...], ...]
+    alpha_vc: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -99,26 +99,27 @@ class JointPlan:
 def build_subset_catalog_capped(sub: ProviderSubproblem, max_replicas: int) -> SubsetCatalog:
     """All nonempty data-center subsets of size <= max_replicas with exact
     aggregate costs: beta_v sums members, alpha_vc takes the member minimum.
-    Refuses families larger than CATALOG_CEILING."""
+    Refuses families larger than CATALOG_CEILING, and execution costs that
+    vary with the level."""
     num_dcs = sub.num_dcs
     if not 1 <= max_replicas <= num_dcs:
         raise ValueError(f"max_replicas must be in 1..{num_dcs}")
     count = sum(math.comb(num_dcs, k) for k in range(1, max_replicas + 1))
     if count > CATALOG_CEILING:
         raise CatalogTooLarge(f"{count} subsets exceeds the ceiling of {CATALOG_CEILING}")
+    if not sub.level_independent:
+        raise LevelDependentExecCost(
+            f"provider {sub.provider_id}: execution costs vary with level"
+        )
 
     subsets: list[tuple[int, ...]] = []
     for size in range(1, max_replicas + 1):
         subsets.extend(combinations(range(num_dcs), size))
 
-    levels = range(sub.num_levels)
-    clients = range(len(sub.client_ids))
-    beta_v = tuple(
-        tuple(sum((sub.beta[d][l] for d in v), ZERO) for l in levels) for v in subsets
-    )
+    beta_v = tuple(tuple(map(sum, zip(*(sub.beta[d] for d in v)))) for v in subsets)
+    rows = [tuple(per_level[0] for per_level in per_client) for per_client in sub.alpha]
     alpha_vc = tuple(
-        tuple(tuple(min(sub.alpha[d][c][l] for d in v) for l in levels) for c in clients)
-        for v in subsets
+        rows[v[0]] if len(v) == 1 else tuple(map(min, *(rows[d] for d in v))) for v in subsets
     )
     return SubsetCatalog(tuple(subsets), beta_v, alpha_vc)
 
@@ -135,25 +136,33 @@ def transformed_costs(
     level l' is at or below l, its delivery cost from the subset weighted by
     exp(-mu2 (l - l')). The exponential weight is the only non-rational
     quantity; it is evaluated in floating point and quantized to 1e-6 before
-    entering exact arithmetic. mu1 = 0 stays fully rational.
+    entering exact arithmetic, so the anticipation term is a Fraction. With
+    mu1 = 0 the scores are the catalog's int micro-units. Either way
+    beta*(l) is returned as an exact Fraction.
     """
     if mu1 < 0 or mu2 < 0:
         raise ValueError("mu1 and mu2 must be nonnegative")
+    if mu1 > 0:
+        by_min_level: dict[int, list[int]] = {}
+        for c, min_level in enumerate(sub.min_levels):
+            by_min_level.setdefault(min_level, []).append(c)
+        # Per subset, the delivery cost summed over each minimum level's clients.
+        group_sums = [
+            {m: sum(alpha[c] for c in group) for m, group in by_min_level.items()}
+            for alpha in catalog.alpha_vc
+        ]
     beta_star = []
     for l in range(1, sub.num_levels + 1):
-        best = None
-        for k in range(len(catalog.subsets)):
-            score = catalog.beta_v[k][l - 1]
-            if mu1 > 0:
-                anticipation = ZERO
-                for c, min_level in enumerate(sub.min_levels):
-                    if min_level <= l:
-                        weight = quantize(math.exp(-float(mu2) * (l - min_level)))
-                        anticipation += catalog.alpha_vc[k][c][min_level - 1] * weight
-                score += mu1 * anticipation
-            if best is None or score < best:
-                best = score
-        beta_star.append(best if best is not None else ZERO)
+        scores = [row[l - 1] for row in catalog.beta_v]
+        if mu1 > 0:
+            weights = {
+                m: quantize(math.exp(-float(mu2) * (l - m))) for m in by_min_level if m <= l
+            }
+            scores = [
+                score + mu1 * sum((w * sums[m] for m, w in weights.items()), ZERO)
+                for score, sums in zip(scores, group_sums)
+            ]
+        beta_star.append(Fraction(min(scores, default=0), MICROS))
     return TransformedCosts(tuple(beta_star))
 
 
@@ -178,22 +187,12 @@ def datum_step2(
     placements = []
     for level in sorted(s1.open_levels):
         group = s1.level_group(level)
-        best_k = None
-        best_score = None
-        for k, subset in enumerate(catalog.subsets):
-            score = catalog.beta_v[k][level - 1]
-            for c in group:
-                score += catalog.alpha_vc[k][c][level - 1]
-            if (
-                best_score is None
-                or score < best_score
-                or (
-                    score == best_score
-                    and (len(subset), subset) < (len(catalog.subsets[best_k]), catalog.subsets[best_k])
-                )
-            ):
-                best_k, best_score = k, score
-        placements.append((level, catalog.subsets[best_k]))
+        scores = [
+            beta[level - 1] + sum(alpha[c] for c in group)
+            for beta, alpha in zip(catalog.beta_v, catalog.alpha_vc)
+        ]
+        _, _, best = min(zip(scores, map(len, catalog.subsets), catalog.subsets))
+        placements.append((level, best))
     return JointPlan(tuple(placements), s1.client_levels)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from datamarket.numeric import distance_cost, format_money, to_rational
+from datamarket.numeric import distance_cost, format_money, to_micros, to_rational
 
 
 class UnsatisfiableDemand(Exception):
@@ -188,15 +188,20 @@ class ProviderSubproblem:
     provider is solved on its own: beta[d][l], fees f(l), alpha[d][c][l] for
     only the clients demanding this provider, and each client's demand
     resolved to the smallest feasible level index.
+
+    beta and alpha hold int micro-units (numeric.MICROS per unit of money),
+    so the solvers add and compare them as plain ints; fees stay Fractions
+    on the levels. Where execution costs do not depend on the level, every
+    level of a (d, c) cell is the same int.
     """
 
     provider_id: str
     levels: tuple[QualityLevel, ...]
     dc_ids: tuple[str, ...]
-    beta: tuple[tuple[Fraction, ...], ...]  # [d][l]
+    beta: tuple[tuple[int, ...], ...]  # [d][l], micro-units
     client_ids: tuple[str, ...]
     min_levels: tuple[int, ...]  # parallel to client_ids, 1-based
-    alpha: tuple[tuple[tuple[Fraction, ...], ...], ...]  # [d][c][l]
+    alpha: tuple[tuple[tuple[int, ...], ...], ...]  # [d][c][l], micro-units
     level_independent: bool
     contracting: str
 
@@ -396,7 +401,18 @@ def split_by_provider(instance: MarketInstance) -> list[ProviderSubproblem]:
     Each subproblem carries only the clients demanding that provider, with
     demands resolved to minimum level indices. Solving the subproblems
     independently and summing costs solves the joint problem.
+
+    Each distinct execution cost is converted once: distance costs form one
+    data-center-by-client table shared by every provider and level, and a
+    level-independent explicit tensor is read at its first level only.
     """
+    model = instance.exec_cost
+    if model.mode == "distance":
+        shared = _distance_table(instance)
+        # Per menu length, each (d, c) cost repeated across the levels.
+        by_levels: dict[int, list[list[tuple[int, ...]]]] = {}
+    else:
+        tensors = model.alpha_map()
     subproblems = []
     for p in instance.providers:
         client_ids: list[str] = []
@@ -409,30 +425,50 @@ def split_by_provider(instance: MarketInstance) -> list[ProviderSubproblem]:
                     min_levels.append(min_level_index(p, w))
                     member_idx.append(ci)
                     break
-        alpha = tuple(
-            tuple(
-                tuple(
-                    exec_cost_value(instance, p.id, d, ci, level)
-                    for level in range(1, p.num_levels + 1)
-                )
-                for ci in member_idx
+        num_levels = p.num_levels
+        if model.mode == "distance":
+            if num_levels not in by_levels:
+                by_levels[num_levels] = [[(v,) * num_levels for v in row] for row in shared]
+            alpha = tuple(
+                tuple(row[ci] for ci in member_idx) for row in by_levels[num_levels]
             )
-            for d in range(len(instance.data_centers))
-        )
+        elif model.level_independent:
+            alpha = tuple(
+                tuple((to_micros(per_client[ci][0]),) * num_levels for ci in member_idx)
+                for per_client in tensors[p.id]
+            )
+        else:
+            alpha = tuple(
+                tuple(tuple(map(to_micros, per_client[ci])) for ci in member_idx)
+                for per_client in tensors[p.id]
+            )
         subproblems.append(
             ProviderSubproblem(
                 provider_id=p.id,
                 levels=p.levels,
                 dc_ids=tuple(d.id for d in instance.data_centers),
-                beta=p.oper_cost,
+                beta=tuple(tuple(map(to_micros, row)) for row in p.oper_cost),
                 client_ids=tuple(client_ids),
                 min_levels=tuple(min_levels),
                 alpha=alpha,
-                level_independent=instance.exec_cost.level_independent,
+                level_independent=model.level_independent,
                 contracting=instance.contracting,
             )
         )
     return subproblems
+
+
+def _distance_table(instance: MarketInstance) -> list[list[int]]:
+    """Distance execution costs in micro-units, [d][c] over all clients."""
+    rate = instance.exec_cost.rate_per_gigameter
+    assert rate is not None
+    locations = [c.location for c in instance.clients]
+    if None in locations or any(dc.location is None for dc in instance.data_centers):
+        raise ValueError("distance-based execution costs require coordinates")
+    return [
+        [to_micros(distance_cost(*dc.location, *loc, rate)) for loc in locations]
+        for dc in instance.data_centers
+    ]
 
 
 def check_plan(instance: MarketInstance, plan: Plan) -> None:

@@ -1,9 +1,20 @@
-"""Exact-rational money arithmetic and geographic distances.
+"""Exact money arithmetic and geographic distances.
 
-All monetary quantities in this package are fractions.Fraction values that
-are multiples of the 1e-6 quantum. External decimal strings are quantized on
-the way in; fractions are formatted back to 6-place decimal strings on the
-way out.
+Every monetary quantity in this package is a multiple of the 1e-6 quantum.
+External decimal strings are quantized on the way in and formatted back to
+6-place decimal strings on the way out. In between, money takes one of two
+exact forms:
+
+- fractions.Fraction: the instance, the linear programs of the
+  single-data-center solver, Datum's mu1 anticipation term (a product with
+  a quantized weight, so a multiple of 1e-12), evaluate_cost and every
+  reported total;
+- int micro-units (value * MICROS): the per-provider cost tables of
+  ProviderSubproblem and everything that only adds and compares them,
+  namely Datum's subset catalog and Step 2 and the exhaustive search.
+
+to_micros converts from the first form to the second and refuses any value
+that is not a whole number of quanta.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from fractions import Fraction
 
 QUANTUM_PLACES = 6
 QUANTUM = Fraction(1, 10**QUANTUM_PLACES)
+MICROS = 10**QUANTUM_PLACES
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -35,9 +47,31 @@ def to_rational(value: str | int | float | Fraction | Decimal) -> Fraction:
             dec = Decimal(value)
         except InvalidOperation as exc:
             raise ValueError(f"not a decimal number: {value!r}") from exc
-        quantized = dec.quantize(Decimal(1).scaleb(-QUANTUM_PLACES), rounding=ROUND_HALF_EVEN)
+        if not dec.is_finite():
+            raise ValueError(f"not a finite decimal number: {value!r}")
+        try:
+            quantized = dec.quantize(Decimal(1).scaleb(-QUANTUM_PLACES), rounding=ROUND_HALF_EVEN)
+        except InvalidOperation as exc:
+            raise ValueError(
+                f"not a finite decimal number: {value!r} (outside the quantizable range)"
+            ) from exc
         return Fraction(quantized)
     raise TypeError(f"cannot convert {type(value).__name__} to a rational")
+
+
+def to_micros(value: Fraction | int) -> int:
+    """An exact money value as a whole number of 1e-6 quanta.
+
+    Raises ValueError for a value that is not a multiple of 1e-6; nothing
+    is rounded.
+    """
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return num * MICROS
+    micros, rem = divmod(num * MICROS, den)
+    if rem:
+        raise ValueError(f"not a multiple of 1e-6: {value}")
+    return micros
 
 
 def quantize(value: Fraction | float) -> Fraction:

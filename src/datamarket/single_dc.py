@@ -28,6 +28,7 @@ from typing import Sequence
 
 from datamarket.lp import EQ, GE, LE, LinearProgram, lp_solve
 from datamarket.model import Plan, ProviderSubproblem
+from datamarket.numeric import MICROS
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -293,7 +294,8 @@ def solve_single_dc(sub: ProviderSubproblem) -> SingleDcPlan:
     if sub.num_dcs != 1:
         raise ValueError("solve_single_dc needs exactly one data center")
     profile = categorize(sub)
-    return _solve_categories(sub.beta[0], _fee_vector(sub), profile.counts)
+    beta = [Fraction(b, MICROS) for b in sub.beta[0]]
+    return _solve_categories(beta, _fee_vector(sub), profile.counts)
 
 
 def solve_single_dc_bulk(sub: ProviderSubproblem) -> SingleDcPlan:
@@ -308,7 +310,7 @@ def solve_single_dc_bulk(sub: ProviderSubproblem) -> SingleDcPlan:
     if profile.num_clients == 0:
         return SingleDcPlan(frozenset(), (), ZERO)
     top = sub.num_levels
-    objective = sub.beta[0][top - 1] + sub.bulk_fee(top)
+    objective = Fraction(sub.beta[0][top - 1], MICROS) + sub.bulk_fee(top)
     choices = tuple((i, top) for i in range(1, top + 1) if profile.counts[i - 1] > 0)
     return SingleDcPlan(frozenset([top]), choices, objective)
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from datamarket.model import MarketInstance, ProviderSubproblem, QualityLevel, min_level_index
+from datamarket.numeric import to_micros
 
 ZERO = Fraction(0)
 
@@ -55,12 +56,12 @@ def make_subproblem(beta_vec, fees, counts, bulk_fees=None, contracting="per_que
         for k in range(count):
             client_ids.append(f"c{i}_{k}")
             min_levels.append(i)
-    alpha = (tuple(tuple(ZERO for _ in fees) for _ in client_ids),)
+    alpha = (tuple(tuple(to_micros(ZERO) for _ in fees) for _ in client_ids),)
     return ProviderSubproblem(
         provider_id="p",
         levels=levels,
         dc_ids=("dc",),
-        beta=(tuple(beta_vec),),
+        beta=(tuple(map(to_micros, beta_vec)),),
         client_ids=tuple(client_ids),
         min_levels=tuple(min_levels),
         alpha=alpha,

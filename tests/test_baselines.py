@@ -18,6 +18,7 @@ from datamarket.baselines import (
     uflp_to_json,
 )
 from datamarket.model import exec_cost_value, split_by_provider
+from datamarket.numeric import MICROS
 from oracles import market_enumeration, uflp_brute_force
 
 F = Fraction
@@ -136,7 +137,7 @@ def test_opt_band_minimizes_band_cost():
                 total += min(options)
             if ok and (best_band is None or total < best_band):
                 best_band = total
-        assert breakdown.oper + breakdown.exec == best_band
+        assert breakdown.oper + breakdown.exec == F(best_band, MICROS)
 
 
 def test_one_level_one_dc_optband_equals_optcost():

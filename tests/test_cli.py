@@ -134,6 +134,27 @@ def test_solve_catalog_too_large(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "8191 subsets" in err
 
 
+@pytest.mark.parametrize("flag", ["--mu1", "--mu2"])
+def test_solve_bad_mu_exits_2(tmp_path, capsys, instance_g, flag):
+    path = write_instance(tmp_path, instance_g)
+    for raw in ("abc", "inf"):
+        code, stdout, err = run(
+            capsys, "solve", "--instance", path, "--algorithm", "optcost", flag, raw
+        )
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"invalid {flag}:")
+
+
+def test_solve_infinite_fee_exits_2(tmp_path, capsys, instance_g):
+    doc = instance_to_json(instance_g)
+    doc["providers"][0]["levels"][0]["per_query_fee"] = "Infinity"
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "solve", "--instance", str(path), "--algorithm", "datum")
+    assert code == 2 and stdout == ""
+    assert err.splitlines() == ["cannot read instance: not a finite decimal number: 'Infinity'"]
+
+
 COMPARE_FLAGS = (
     "--seeds", "1,2",
     "--algorithms", "datum,optcost,optband,nearestdc",
@@ -193,6 +214,21 @@ def test_compare_isolates_a_failing_row(capsys):
     single_dc = dict(zip(header.split(","), single_dc_row.split(",")))
     assert single_dc["algorithm"] == "single-dc" and single_dc["total"] == ""
     assert "one-data-center" in single_dc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", *COMPARE_FLAGS),
+        ("sweep", "--knob", "band_to_fee", "--from", "-1", "--to", "1", "--steps", "2",
+         *COMPARE_FLAGS),
+    ],
+    ids=["compare", "sweep"],
+)
+def test_compare_sweep_bad_mu_exit_2_before_rows(capsys, argv):
+    code, stdout, err = run(capsys, *argv, "--mu1", "abc")
+    assert code == 2 and stdout == ""
+    assert err.splitlines() == ["invalid --mu1: not a decimal number: 'abc'"]
 
 
 def test_sweep_csv_shape(capsys):

@@ -22,6 +22,7 @@ from datamarket.datum import (
     transformed_costs,
 )
 from datamarket.model import split_by_provider
+from datamarket.numeric import MICROS
 from datamarket.single_dc import solve_single_dc
 from oracles import market_enumeration
 
@@ -32,8 +33,8 @@ def test_catalog_two_dcs(instance_g):
     (sub,) = split_by_provider(instance_g)
     catalog = build_subset_catalog_capped(sub, max_replicas=2)
     assert catalog.subsets == ((0,), (1,), (0, 1))
-    assert [row[0] for row in catalog.beta_v] == [5, 7, 12]
-    assert [row[0][0] for row in catalog.alpha_vc] == [4, 1, 1]
+    assert [F(row[0], MICROS) for row in catalog.beta_v] == [5, 7, 12]
+    assert [F(row[0], MICROS) for row in catalog.alpha_vc] == [4, 1, 1]
 
 
 def test_catalog_singletons_only():
@@ -209,7 +210,7 @@ def test_step2_is_optimal_given_step1():
             for k, subset in enumerate(catalog.subsets):
                 score = catalog.beta_v[k][level - 1]
                 for c in group:
-                    score += catalog.alpha_vc[k][c][level - 1]
+                    score += catalog.alpha_vc[k][c]
                 scores.append(score)
             k_chosen = catalog.subsets.index(chosen[level])
             assert scores[k_chosen] == min(scores)

@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import build_instance
 from datamarket.model import (
+    ExecCostModel,
     InfeasiblePlan,
     Plan,
     UnsatisfiableDemand,
     evaluate_cost,
+    exec_cost_value,
     instance_from_json,
     instance_to_json,
     min_level_index,
@@ -20,8 +23,16 @@ from datamarket.model import (
     split_by_provider,
     validate_instance,
 )
-from datamarket.numeric import format_money, haversine_gigameters, quantize, to_rational
-from oracles import market_enumeration
+from datamarket.numeric import (
+    MICROS,
+    format_money,
+    haversine_gigameters,
+    quantize,
+    to_micros,
+    to_rational,
+)
+from datamarket.scenario import ScenarioParams, generate
+from oracles import market_enumeration, random_market
 
 F = Fraction
 
@@ -321,3 +332,93 @@ def test_haversine_known_distance():
     # Los Angeles to New York is about 3.94 Mm over the great circle.
     gm = haversine_gigameters(34.0522, -118.2437, 40.7128, -74.0060)
     assert 0.0038 < gm < 0.0040
+
+
+@pytest.mark.parametrize("raw", ["inf", "Infinity", "-inf", "1e400", "nan", float("inf")])
+def test_to_rational_rejects_non_finite(raw):
+    with pytest.raises(ValueError, match="not a finite decimal number"):
+        to_rational(raw)
+
+
+def test_to_micros_is_exact():
+    assert to_micros(F(3, 2)) == 1_500_000
+    assert to_micros(F(-1, MICROS)) == -1
+    assert to_micros(7) == 7 * MICROS
+    with pytest.raises(ValueError):
+        to_micros(F(1, 3))
+    with pytest.raises(ValueError):
+        to_micros(F(1, 10 * MICROS))
+
+
+def _with_level_dependent_alpha(instance, rng):
+    tensors = tuple(
+        (
+            p.id,
+            tuple(
+                tuple(
+                    tuple(F(rng.randint(0, 9_999_999), MICROS) for _ in range(p.num_levels))
+                    for _ in instance.clients
+                )
+                for _ in instance.data_centers
+            ),
+        )
+        for p in instance.providers
+    )
+    return replace(
+        instance,
+        exec_cost=ExecCostModel(mode="explicit", level_independent=False, alpha=tensors),
+    )
+
+
+def _assert_tables_exact(instance):
+    client_index = instance.client_index()
+    providers = {p.id: p for p in instance.providers}
+    for sub in split_by_provider(instance):
+        oper = providers[sub.provider_id].oper_cost
+        for d in range(sub.num_dcs):
+            for l in range(1, sub.num_levels + 1):
+                assert sub.beta[d][l - 1] == to_micros(oper[d][l - 1])
+                for c, client_id in enumerate(sub.client_ids):
+                    expected = exec_cost_value(
+                        instance, sub.provider_id, d, client_index[client_id], l
+                    )
+                    cell = sub.alpha[d][c][l - 1]
+                    assert type(cell) is int and cell == to_micros(expected)
+
+
+def test_split_tables_are_exact_micro_units():
+    rng = random.Random(41)
+    for seed in range(1, 4):
+        _assert_tables_exact(
+            generate(
+                ScenarioParams(
+                    seed=seed, num_data_centers=3, num_providers=3, num_clients=12,
+                    levels_per_provider=3,
+                )
+            )
+        )
+    for _ in range(20):
+        inst = random_market(rng, max_providers=3, max_levels=4)
+        _assert_tables_exact(inst)
+        _assert_tables_exact(_with_level_dependent_alpha(inst, rng))
+
+
+def test_split_computes_each_distance_once(monkeypatch):
+    import datamarket.model as model
+
+    inst = generate(
+        ScenarioParams(
+            seed=2, num_data_centers=4, num_providers=5, num_clients=30, levels_per_provider=4
+        )
+    )
+    calls = 0
+    original = model.distance_cost
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(model, "distance_cost", counting)
+    split_by_provider(inst)
+    assert 0 < calls <= len(inst.data_centers) * len(inst.clients)
