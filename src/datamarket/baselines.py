@@ -26,6 +26,7 @@ from datamarket.model import (
     Client,
     CostBreakdown,
     DataCenter,
+    DatamarketError,
     ExecCostModel,
     MarketInstance,
     Plan,
@@ -42,8 +43,11 @@ ZERO = Fraction(0)
 BUDGET_ENV = "DATUM_BUDGET"
 
 
-class OversizeInstance(Exception):
+class OversizeInstance(DatamarketError):
     """A provider's support space exceeds the enumeration budget."""
+
+    exit_code = 3
+    template = "instance too large for exhaustive search: {}"
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,7 @@ def to_uflp(sub: ProviderSubproblem) -> UflpInstance:
     (data center, level) pair opening at beta, connecting at fee + alpha,
     with below-demand levels forbidden."""
     if sub.contracting != "per_query":
-        raise ValueError("to_uflp is defined for per-query contracting")
+        raise DatamarketError("to_uflp is defined for per-query contracting")
     facility_ids = []
     open_costs = []
     connection = []
@@ -285,7 +289,9 @@ def uflp_to_json(uflp: UflpInstance, dense: bool = False) -> dict:
 
 
 def uflp_from_json(doc: dict) -> UflpInstance:
-    return UflpInstance(
+    """Read a UFLP document; a connection matrix that is not facilities by
+    clients is refused with ValueError."""
+    uflp = UflpInstance(
         facility_ids=tuple(f["id"] for f in doc["facilities"]),
         open_costs=tuple(to_rational(f["open_cost"]) for f in doc["facilities"]),
         client_ids=tuple(doc["clients"]),
@@ -294,3 +300,7 @@ def uflp_from_json(doc: dict) -> UflpInstance:
             for row in doc["connection"]
         ),
     )
+    shape = (len(uflp.facility_ids), len(uflp.client_ids))
+    if len(uflp.connection) != shape[0] or any(len(row) != shape[1] for row in uflp.connection):
+        raise ValueError(f"connection must be {shape[0]} facility rows of {shape[1]} clients")
+    return uflp

@@ -12,6 +12,12 @@ byte-deterministic for fixed flags; wall-clock timings are therefore left
 empty unless --timings is passed (solve always reports real wall time).
 The DATUM_BUDGET environment variable overrides the exhaustive baselines'
 support budget.
+
+Errors have one boundary. A refused input or request raises a
+DatamarketError, which carries its exit code: main prints its one-line
+reason, and compare/sweep put it in the failing row's error column. Outside
+input (instance and UFLP files, flags, scenario parameters) is read under
+_refusing, which turns what malformed input raises into that base.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from datamarket.baselines import (
-    OversizeInstance,
     from_uflp,
     nearest_dc,
     opt_band,
@@ -34,14 +40,9 @@ from datamarket.baselines import (
     uflp_from_json,
     uflp_to_json,
 )
-from datamarket.datum import (
-    CatalogTooLarge,
-    DatumConfig,
-    LevelDependentCosts,
-    datum_solve,
-    datum_solve_bulk,
-)
+from datamarket.datum import DatumConfig, datum_solve
 from datamarket.model import (
+    DatamarketError,
     MarketInstance,
     Plan,
     dump_instance,
@@ -53,29 +54,38 @@ from datamarket.model import (
     validate_instance,
 )
 from datamarket.numeric import format_money, quantize, to_rational
-from datamarket.scenario import InvalidRatioTargets, ScenarioParams, generate, sweep_params
-from datamarket.single_dc import (
-    LevelDependentExecCost,
-    lower_single_dc_plan,
-    solve_single_dc,
-    solve_single_dc_bulk,
-)
+from datamarket.scenario import ScenarioParams, generate, sweep_params
+from datamarket.single_dc import lower_single_dc_plan, solve_single_dc, solve_single_dc_bulk
 
 EXIT_OK = 0
 EXIT_INVALID_INSTANCE = 2
-EXIT_OVERSIZE = 3
-EXIT_UNKNOWN_ALGORITHM = 4
 
 ALGORITHMS = ("datum", "optcost", "optband", "nearestdc", "single-dc")
 
 CSV_HEADER = "seed,algorithm,oper,exec,purch,total,runtime_ms,fingerprint,error"
 SWEEP_HEADER = "knob,target," + CSV_HEADER
 
-# Solver errors: `solve` ends with an exit code for each, and a compare/sweep
-# row carries its message in the error column.
-SOLVER_ERRORS = (
-    OversizeInstance, CatalogTooLarge, LevelDependentCosts, LevelDependentExecCost, ValueError
-)
+# What reading missing or malformed outside input raises: an unreadable
+# file, a wrong value, a wrong JSON type where a list, dict or number
+# belongs, a missing key or row, or a number too large for the arithmetic.
+MALFORMED = (OSError, ValueError, TypeError, KeyError, AttributeError, IndexError, ArithmeticError)
+
+
+class UnknownAlgorithm(DatamarketError):
+    """An algorithm name that is not one of ALGORITHMS."""
+
+    exit_code = 4
+    template = "unknown algorithm: {}"
+
+
+@contextmanager
+def _refusing(prefix: str):
+    """Refuse missing or malformed outside input read in the block (exit 2),
+    with a reason that starts with prefix."""
+    try:
+        yield
+    except MALFORMED as exc:
+        raise DatamarketError(f"{prefix}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -102,8 +112,6 @@ def fingerprint(instance: MarketInstance) -> str:
 def run_algorithm(instance: MarketInstance, name: str, config: DatumConfig):
     """Dispatch to a solver; returns (plan, breakdown)."""
     if name == "datum":
-        if instance.contracting == "bulk":
-            return datum_solve_bulk(instance, config)
         return datum_solve(instance, config)
     if name == "optcost":
         return opt_cost(instance)
@@ -113,7 +121,7 @@ def run_algorithm(instance: MarketInstance, name: str, config: DatumConfig):
         return nearest_dc(instance)
     if name == "single-dc":
         if len(instance.data_centers) != 1:
-            raise ValueError("--algorithm single-dc needs a one-data-center instance")
+            raise DatamarketError("--algorithm single-dc needs a one-data-center instance")
         solver = solve_single_dc_bulk if instance.contracting == "bulk" else solve_single_dc
         plan = Plan.union(
             lower_single_dc_plan(sub, solver(sub))
@@ -121,7 +129,7 @@ def run_algorithm(instance: MarketInstance, name: str, config: DatumConfig):
             if sub.client_ids
         )
         return plan, evaluate_cost(instance, plan)
-    raise KeyError(name)
+    raise UnknownAlgorithm(repr(name))
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -158,61 +166,45 @@ def _scenario_params(args, seed: int) -> ScenarioParams:
 
 
 def _datum_config(args) -> DatumConfig:
-    """Datum's options from the flags; a ValueError names the bad flag."""
+    """Datum's options from the flags; a refusal names the bad flag."""
     mu = {}
     for name in ("mu1", "mu2"):
-        try:
+        with _refusing(f"invalid --{name}"):
             mu[name] = to_rational(getattr(args, name, "0"))
-        except ValueError as exc:
-            raise ValueError(f"invalid --{name}: {exc}") from exc
+            if mu[name] < 0:
+                raise ValueError("must be nonnegative")
     return DatumConfig(max_replicas=getattr(args, "max_replicas", 2), **mu)
 
 
+def _generate(params: ScenarioParams) -> MarketInstance:
+    with _refusing("invalid scenario parameters"):
+        return generate(params)
+
+
+def _read_instance(path: str) -> MarketInstance:
+    """Load and validate an instance file; a refusal lists every violation,
+    one per line."""
+    with _refusing("cannot read instance"):
+        instance = load_instance(path)
+    report = validate_instance(instance)
+    if not report.ok:
+        raise DatamarketError("\n".join(report.violations))
+    return instance
+
+
 def cmd_generate(args) -> int:
-    try:
-        instance = generate(_scenario_params(args, args.seed))
-    except (InvalidRatioTargets, ValueError) as exc:
-        print(f"invalid scenario parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
+    instance = _generate(_scenario_params(args, args.seed))
     dump_instance(instance, args.out)
     print(f"wrote {args.out} fingerprint={fingerprint(instance)}")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    try:
-        instance = load_instance(args.instance)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot read instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
-    report = validate_instance(instance)
-    if not report.ok:
-        for violation in report.violations:
-            print(violation, file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
-    if args.algorithm not in ALGORITHMS:
-        print(f"unknown algorithm: {args.algorithm}", file=sys.stderr)
-        return EXIT_UNKNOWN_ALGORITHM
-    try:
-        config = _datum_config(args)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
+    instance = _read_instance(args.instance)
+    _parse_algorithms(args.algorithm)  # an unknown name ends it before the flags are read
+    config = _datum_config(args)
     started = time.perf_counter()
-    try:
-        plan, breakdown = run_algorithm(instance, args.algorithm, config)
-    except OversizeInstance as exc:
-        print(f"instance too large for exhaustive search: {exc}", file=sys.stderr)
-        return EXIT_OVERSIZE
-    except CatalogTooLarge as exc:
-        print(f"replica catalog too large: {exc} (lower --max-replicas)", file=sys.stderr)
-        return EXIT_OVERSIZE
-    except (LevelDependentCosts, LevelDependentExecCost) as exc:
-        print(f"{args.algorithm} needs level-independent costs: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
+    plan, breakdown = run_algorithm(instance, args.algorithm, config)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
     plan_path = args.plan_out or (args.instance.removesuffix(".json") + ".plan.json")
@@ -240,57 +232,35 @@ def _csv_rows_for_instance(instance, seeds_label, algorithms, config, timings):
     for name in sorted(algorithms):
         started = time.perf_counter()
         try:
-            _, breakdown = run_algorithm(instance, name, config)
-            elapsed = str(int((time.perf_counter() - started) * 1000)) if timings else ""
-            rows.append(
-                (
-                    seeds_label,
-                    name,
-                    format_money(breakdown.oper),
-                    format_money(breakdown.exec),
-                    format_money(breakdown.purch),
-                    format_money(breakdown.total),
-                    elapsed,
-                    mark,
-                    "",
-                    breakdown.total,
-                )
-            )
-        except SOLVER_ERRORS as exc:
+            _, cost = run_algorithm(instance, name, config)
+        except DatamarketError as exc:
             rows.append((seeds_label, name, "", "", "", "", "", mark, str(exc).replace(",", ";"), None))
+            continue
+        elapsed = str(int((time.perf_counter() - started) * 1000)) if timings else ""
+        money = map(format_money, (cost.oper, cost.exec, cost.purch, cost.total))
+        rows.append((seeds_label, name, *money, elapsed, mark, "", cost.total))
     return rows
 
 
 def _parse_seeds(raw: str) -> list[int]:
-    return [int(s) for s in raw.split(",") if s != ""]
+    with _refusing("invalid --seeds"):
+        return sorted(int(s) for s in raw.split(",") if s != "")
 
 
 def _parse_algorithms(raw: str) -> list[str]:
     names = [a for a in raw.split(",") if a != ""]
     for name in names:
         if name not in ALGORITHMS:
-            raise KeyError(name)
+            raise UnknownAlgorithm(repr(name))
     return names
 
 
 def cmd_compare(args) -> int:
-    try:
-        algorithms = _parse_algorithms(args.algorithms)
-    except KeyError as exc:
-        print(f"unknown algorithm: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_ALGORITHM
-    try:
-        config = _datum_config(args)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
+    algorithms = _parse_algorithms(args.algorithms)
+    config = _datum_config(args)
     rows = []
-    for seed in sorted(_parse_seeds(args.seeds)):
-        try:
-            instance = generate(_scenario_params(args, seed))
-        except (InvalidRatioTargets, ValueError) as exc:
-            print(f"invalid scenario parameters: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INSTANCE
+    for seed in _parse_seeds(args.seeds):
+        instance = _generate(_scenario_params(args, seed))
         rows.extend(
             _csv_rows_for_instance(instance, str(seed), algorithms, config, args.timings)
         )
@@ -314,22 +284,12 @@ def _print_summary(rows, file) -> None:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        algorithms = _parse_algorithms(args.algorithms)
-    except KeyError as exc:
-        print(f"unknown algorithm: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_ALGORITHM
-    try:
-        config = _datum_config(args)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
+    algorithms = _parse_algorithms(args.algorithms)
+    config = _datum_config(args)
     base = _scenario_params(args, 0)
-    try:
+    with _refusing("invalid sweep"):
         points = sweep_params(base, args.knob, args.start, args.stop, args.steps)
-    except (InvalidRatioTargets, ValueError) as exc:
-        print(f"invalid sweep: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
+    seeds = _parse_seeds(args.seeds)
     rows = []
     for point in points:
         target = (
@@ -337,8 +297,8 @@ def cmd_sweep(args) -> int:
             if args.knob == "band_to_fee"
             else point.ratio_internal_to_external
         )
-        for seed in sorted(_parse_seeds(args.seeds)):
-            instance = generate(replace(point, seed=seed))
+        for seed in seeds:
+            instance = _generate(replace(point, seed=seed))
             for row in _csv_rows_for_instance(
                 instance, str(seed), algorithms, config, args.timings
             ):
@@ -352,16 +312,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_convert(args) -> int:
     if args.to_uflp:
-        try:
-            instance = load_instance(args.instance)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"cannot read instance: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INSTANCE
-        report = validate_instance(instance)
-        if not report.ok:
-            for violation in report.violations:
-                print(violation, file=sys.stderr)
-            return EXIT_INVALID_INSTANCE
+        if not args.instance:
+            raise DatamarketError("--to-uflp needs --instance")
+        instance = _read_instance(args.instance)
         doc = {
             "instances": [
                 {"provider": sub.provider_id, **uflp_to_json(to_uflp(sub), dense=args.dense)}
@@ -373,12 +326,10 @@ def cmd_convert(args) -> int:
             fh.write("\n")
         print(f"wrote {args.to_uflp}")
         return EXIT_OK
-    try:
-        with open(args.from_uflp, encoding="utf-8") as fh:
-            uflp = uflp_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot read UFLP file: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
+    if not args.out:
+        raise DatamarketError("--from-uflp needs --out")
+    with _refusing("cannot read UFLP file"), open(args.from_uflp, encoding="utf-8") as fh:
+        uflp = uflp_from_json(json.load(fh))
     dump_instance(from_uflp(uflp), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -440,15 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a refused input or request, or an output path that
+    cannot be written, ends it with its exit code and a reason on stderr."""
     args = build_parser().parse_args(argv)
-    if args.command == "convert":
-        if args.to_uflp and not args.instance:
-            print("--to-uflp needs --instance", file=sys.stderr)
-            return EXIT_INVALID_INSTANCE
-        if args.from_uflp and not args.out:
-            print("--from-uflp needs --out", file=sys.stderr)
-            return EXIT_INVALID_INSTANCE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DatamarketError as exc:
+        print(exc.template.format(exc, algorithm=getattr(args, "algorithm", "")), file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INSTANCE
 
 
 if __name__ == "__main__":

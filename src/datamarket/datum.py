@@ -24,6 +24,7 @@ from itertools import combinations
 
 from datamarket.model import (
     CostBreakdown,
+    DatamarketError,
     MarketInstance,
     Plan,
     ProviderSubproblem,
@@ -31,17 +32,16 @@ from datamarket.model import (
     split_by_provider,
 )
 from datamarket.numeric import MICROS, quantize
-from datamarket.single_dc import LevelDependentExecCost, _solve_categories, categorize
+from datamarket.single_dc import LevelDependentCosts, _solve_categories, categorize
 
 ZERO = Fraction(0)
 
 
-class CatalogTooLarge(Exception):
+class CatalogTooLarge(DatamarketError):
     """The replica-subset family exceeds CATALOG_CEILING."""
 
-
-class LevelDependentCosts(Exception):
-    """Bulk placement needs level-independent operation and execution costs."""
+    exit_code = 3
+    template = "replica catalog too large: {} (lower --max-replicas)"
 
 
 # Largest replica-subset family a catalog may hold.
@@ -103,14 +103,12 @@ def build_subset_catalog_capped(sub: ProviderSubproblem, max_replicas: int) -> S
     vary with the level."""
     num_dcs = sub.num_dcs
     if not 1 <= max_replicas <= num_dcs:
-        raise ValueError(f"max_replicas must be in 1..{num_dcs}")
+        raise DatamarketError(f"max_replicas must be in 1..{num_dcs}")
     count = sum(math.comb(num_dcs, k) for k in range(1, max_replicas + 1))
     if count > CATALOG_CEILING:
         raise CatalogTooLarge(f"{count} subsets exceeds the ceiling of {CATALOG_CEILING}")
     if not sub.level_independent:
-        raise LevelDependentExecCost(
-            f"provider {sub.provider_id}: execution costs vary with level"
-        )
+        raise LevelDependentCosts(f"provider {sub.provider_id}: execution costs vary with level")
 
     subsets: list[tuple[int, ...]] = []
     for size in range(1, max_replicas + 1):
@@ -141,7 +139,7 @@ def transformed_costs(
     beta*(l) is returned as an exact Fraction.
     """
     if mu1 < 0 or mu2 < 0:
-        raise ValueError("mu1 and mu2 must be nonnegative")
+        raise DatamarketError("mu1 and mu2 must be nonnegative")
     if mu1 > 0:
         by_min_level: dict[int, list[int]] = {}
         for c, min_level in enumerate(sub.min_levels):
@@ -219,8 +217,9 @@ def _step1(sub: ProviderSubproblem, catalog: SubsetCatalog, config: DatumConfig)
 
 def _solve_provider(sub: ProviderSubproblem, config: DatumConfig) -> Plan:
     """Datum on one provider. Under bulk contracting Step 1 is replaced by
-    buying the top level for every client, which needs level-independent
-    costs."""
+    buying only the top level, for every client, and placing it with the
+    Step-2 argmin: exact when operation and execution costs are
+    level-independent (required) and some client demands the top level."""
     if sub.contracting == "bulk":
         _require_level_independent(sub)
         top = sub.num_levels
@@ -235,10 +234,9 @@ def _solve_provider(sub: ProviderSubproblem, config: DatumConfig) -> Plan:
 def datum_solve(
     instance: MarketInstance, config: DatumConfig | None = None
 ) -> tuple[Plan, CostBreakdown]:
-    """Run the per-provider pipeline and price the merged plan."""
+    """Run the per-provider pipeline, under either contracting mode, and
+    price the merged plan."""
     config = config or DatumConfig()
-    if instance.contracting != "per_query":
-        raise ValueError("datum_solve handles per-query contracting; use datum_solve_bulk")
     plan = Plan.union(
         _solve_provider(sub, config) for sub in split_by_provider(instance) if sub.client_ids
     )
@@ -254,21 +252,6 @@ def step1_objective(
     config = config or DatumConfig()
     subs = [sub for sub in split_by_provider(instance) if sub.client_ids]
     return sum((_step1(sub, _catalog(sub, config), config).objective for sub in subs), ZERO)
-
-
-def datum_solve_bulk(
-    instance: MarketInstance, config: DatumConfig | None = None
-) -> tuple[Plan, CostBreakdown]:
-    """Bulk contracting: buy only each provider's top level, then place it
-    with the Step-2 argmin. Exact when operation and execution costs are
-    level-independent and the top level is demanded."""
-    config = config or DatumConfig()
-    if instance.contracting != "bulk":
-        raise ValueError("datum_solve_bulk needs a bulk-contracting instance")
-    plan = Plan.union(
-        _solve_provider(sub, config) for sub in split_by_provider(instance) if sub.client_ids
-    )
-    return plan, evaluate_cost(instance, plan)
 
 
 def _require_level_independent(sub: ProviderSubproblem) -> None:

@@ -21,6 +21,19 @@ from typing import Iterable
 from datamarket.numeric import distance_cost, format_money, to_micros, to_rational
 
 
+class DatamarketError(ValueError):
+    """An input or a request `datamarket` refuses with a one-line reason.
+
+    exit_code is the status the command line ends with. template frames the
+    message on stderr: {} is the message and {algorithm} the algorithm the
+    command ran. Errors that signal a bug in a solver are not of this kind,
+    so they keep their traceback.
+    """
+
+    exit_code = 2
+    template = "{}"
+
+
 class UnsatisfiableDemand(Exception):
     """A client requires a quality no level of the demanded provider reaches."""
 
@@ -271,18 +284,31 @@ def min_level_index(provider: Provider, required_quality: Fraction) -> int:
 
 def validate_instance(instance: MarketInstance) -> ValidationReport:
     """Check every structural invariant; returns the full violation list."""
-    problems: list[str] = []
-
-    def dup(ids: Iterable[str], kind: str) -> None:
+    nodes = {
+        "provider": instance.providers,
+        "data center": instance.data_centers,
+        "client": instance.clients,
+    }
+    problems = [
+        f"{kind} id {node.id!r} is not a string"
+        for kind, group in nodes.items()
+        for node in group
+        if not isinstance(node.id, str)
+    ]
+    if problems:  # the checks below key on ids
+        return ValidationReport(tuple(problems))
+    for kind, group in nodes.items():
         seen: set[str] = set()
-        for i in ids:
-            if i in seen:
-                problems.append(f"duplicate {kind} id: {i}")
-            seen.add(i)
-
-    dup((p.id for p in instance.providers), "provider")
-    dup((d.id for d in instance.data_centers), "data center")
-    dup((c.id for c in instance.clients), "client")
+        for node in group:
+            if node.id in seen:
+                problems.append(f"duplicate {kind} id: {node.id}")
+            seen.add(node.id)
+            if kind != "provider" and not _on_the_globe(node.location):
+                problems.append(
+                    f"{kind} {node.id}: location is not a [latitude, longitude] pair in range"
+                )
+    if instance.clients and not instance.data_centers:
+        problems.append("no data center to serve the clients")
 
     if instance.contracting not in ("per_query", "bulk"):
         problems.append(f"unknown contracting mode: {instance.contracting}")
@@ -341,6 +367,15 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
 
     problems.extend(_validate_exec_model(instance))
     return ValidationReport(tuple(problems))
+
+
+def _on_the_globe(location) -> bool:
+    """True for no location, or a real latitude in [-90, 90] and longitude in
+    [-180, 180]; NaN and the infinities compare outside the ranges."""
+    if location is None:
+        return True
+    reals = len(location) == 2 and all(type(v) in (int, float) for v in location)
+    return reals and -90 <= location[0] <= 90 and -180 <= location[1] <= 180
 
 
 def _validate_exec_model(instance: MarketInstance) -> list[str]:

@@ -33,6 +33,7 @@ from datamarket.cities import CITIES, DC_STATES, cities_in_state
 from datamarket.model import (
     Client,
     DataCenter,
+    DatamarketError,
     ExecCostModel,
     MarketInstance,
     Provider,
@@ -44,7 +45,7 @@ from datamarket.rng import SplitMix64
 ZERO = Fraction(0)
 
 
-class InvalidRatioTargets(Exception):
+class InvalidRatioTargets(DatamarketError):
     """The two ratio targets admit no positive calibration scales."""
 
 
@@ -73,14 +74,14 @@ class ScenarioParams:
 
     def validate(self) -> None:
         if not 1 <= self.num_data_centers <= len(DC_STATES):
-            raise ValueError(f"num_data_centers must be in 1..{len(DC_STATES)}")
+            raise DatamarketError(f"num_data_centers must be in 1..{len(DC_STATES)}")
         for name in ("num_providers", "num_clients", "levels_per_provider", "max_replicas"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise DatamarketError(f"{name} must be positive")
         if not 0 < self.demand_probability() <= 1:
-            raise ValueError("avg_providers_per_client must be in (0, num_providers]")
+            raise DatamarketError("avg_providers_per_client must be in (0, num_providers]")
         if self.pareto_shape <= 1:
-            raise ValueError("pareto_shape must exceed 1 for a finite mean")
+            raise DatamarketError("pareto_shape must exceed 1 for a finite mean")
         if self.ratio_band_to_fee <= self.ratio_internal_to_external:
             raise InvalidRatioTargets(
                 "ratio_band_to_fee must exceed ratio_internal_to_external"
@@ -235,9 +236,9 @@ def sweep_params(
     internal_to_external), it shifts along, preserving the base gap.
     """
     if steps < 2:
-        raise ValueError("steps must be at least 2")
+        raise DatamarketError("steps must be at least 2")
     if knob not in ("band_to_fee", "internal_to_external"):
-        raise ValueError(f"unknown knob {knob!r}")
+        raise DatamarketError(f"unknown knob {knob!r}")
     base.validate()
     gap = base.ratio_band_to_fee - base.ratio_internal_to_external
     points = []

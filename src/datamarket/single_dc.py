@@ -27,15 +27,19 @@ from fractions import Fraction
 from typing import Sequence
 
 from datamarket.lp import EQ, GE, LE, LinearProgram, lp_solve
-from datamarket.model import Plan, ProviderSubproblem
+from datamarket.model import DatamarketError, Plan, ProviderSubproblem
 from datamarket.numeric import MICROS
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class LevelDependentExecCost(Exception):
-    """The single-data-center reduction needs level-independent execution costs."""
+class LevelDependentCosts(DatamarketError):
+    """A solver that needs costs that do not vary with the level got costs
+    that do: the single-data-center reduction (execution costs), Datum's
+    subset catalog (execution costs) and bulk Datum (operation costs too)."""
+
+    template = "{algorithm} needs level-independent costs: {}"
 
 
 class InternalNonBinary(Exception):
@@ -84,9 +88,7 @@ class Breakpoints:
 def categorize(sub: ProviderSubproblem) -> CategoryProfile:
     """Count clients per minimum level index. Empty categories are allowed."""
     if not sub.level_independent:
-        raise LevelDependentExecCost(
-            f"provider {sub.provider_id}: execution costs vary with level"
-        )
+        raise LevelDependentCosts(f"provider {sub.provider_id}: execution costs vary with level")
     counts = [0] * sub.num_levels
     for lvl in sub.min_levels:
         counts[lvl - 1] += 1

@@ -12,7 +12,7 @@ from statistics import median
 
 from datamarket.baselines import nearest_dc, opt_band, opt_cost, to_uflp, uflp_from_json
 from datamarket.cli import main
-from datamarket.datum import DatumConfig, datum_solve, datum_solve_bulk, step1_objective
+from datamarket.datum import DatumConfig, datum_solve, step1_objective
 from datamarket.lp import lp_solve
 from datamarket.model import split_by_provider
 from datamarket.scenario import ScenarioParams, generate
@@ -234,7 +234,7 @@ def test_criterion_7_bulk():
             level_independent_beta=True,
             force_top_demand=True,
         )
-        _, shortcut = datum_solve_bulk(inst, DatumConfig(max_replicas=len(inst.data_centers)))
+        _, shortcut = datum_solve(inst, DatumConfig(max_replicas=len(inst.data_centers)))
         _, exact = opt_cost(inst)
         assert shortcut.total == exact.total
         assert exact.total == market_enumeration(inst)

@@ -14,6 +14,7 @@ from datamarket.model import (
     plan_from_json,
 )
 from datamarket.numeric import to_rational
+from datamarket.scenario import ScenarioParams, generate
 
 
 def write_instance(tmp_path, instance, name="instance.json"):
@@ -137,7 +138,7 @@ def test_solve_catalog_too_large(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--mu1", "--mu2"])
 def test_solve_bad_mu_exits_2(tmp_path, capsys, instance_g, flag):
     path = write_instance(tmp_path, instance_g)
-    for raw in ("abc", "inf"):
+    for raw in ("abc", "inf", "-1"):
         code, stdout, err = run(
             capsys, "solve", "--instance", path, "--algorithm", "optcost", flag, raw
         )
@@ -229,6 +230,9 @@ def test_compare_sweep_bad_mu_exit_2_before_rows(capsys, argv):
     code, stdout, err = run(capsys, *argv, "--mu1", "abc")
     assert code == 2 and stdout == ""
     assert err.splitlines() == ["invalid --mu1: not a decimal number: 'abc'"]
+    code, stdout, err = run(capsys, *argv, "--mu1", "-1")
+    assert code == 2 and stdout == ""
+    assert err.splitlines() == ["invalid --mu1: must be nonnegative"]
 
 
 def test_sweep_csv_shape(capsys):
@@ -327,3 +331,171 @@ def test_compare_sweep_bytes_pinned(capsys, name):
     code, stdout, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+# --- refusals: each ends with its exit code and a one-line reason ----------
+
+SMALL_GEO = (
+    "--data-centers", "2", "--providers", "2", "--clients", "3", "--levels", "2",
+)
+
+
+def assert_refused(code, stdout, err, expected_code, *needles):
+    assert code == expected_code and stdout == ""
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.fixture
+def geo_doc():
+    return instance_to_json(
+        generate(ScenarioParams(seed=1, num_data_centers=2, num_providers=2, num_clients=3,
+                                levels_per_provider=2))
+    )
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_convert_to_uflp_on_bulk_exits_2(tmp_path, capsys):
+    inst = build_instance(
+        beta=[[3, 3]], fees=[1, 2], bulk_fees=[1, 2], demands=[1], alpha=[[0]],
+        contracting="bulk",
+    )
+    path = write_instance(tmp_path, inst)
+    out = str(tmp_path / "uflp.json")
+    code, stdout, err = run(capsys, "convert", "--instance", path, "--to-uflp", out)
+    assert_refused(code, stdout, err, 2, "per-query")
+
+
+def test_sweep_uncalibratable_targets_exit_2(capsys):
+    code, stdout, err = run(
+        capsys, "sweep", "--knob", "band_to_fee", "--from", "-8", "--to", "-7", "--steps", "2",
+        "--ratio-ie", "-9", "--seeds", "1", *SMALL_GEO,
+    )
+    assert_refused(code, stdout, err, 2, "invalid scenario parameters:", "calibration")
+
+
+def test_solve_demands_as_a_list_exits_2(tmp_path, capsys, geo_doc):
+    geo_doc["clients"][0]["demands"] = list(geo_doc["clients"][0]["demands"].values())
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert_refused(code, stdout, err, 2, "cannot read instance:")
+
+
+def test_solve_top_level_array_exits_2(tmp_path, capsys, geo_doc):
+    path = write_doc(tmp_path, [geo_doc])
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert_refused(code, stdout, err, 2, "cannot read instance:")
+
+
+@pytest.mark.parametrize(
+    "location",
+    [["a", "b"], [float("inf"), 0], [float("nan"), 0], [95.0, 0], [0, -180.5], [True, 0], [0]],
+    ids=["strings", "infinity", "nan", "latitude-95", "longitude-180.5", "bool", "one-number"],
+)
+def test_solve_bad_client_location_exits_2(tmp_path, capsys, geo_doc, location):
+    geo_doc["clients"][1]["location"] = location
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert_refused(code, stdout, err, 2, "client c2: location")
+
+
+def test_solve_bad_data_center_location_exits_2(tmp_path, capsys, geo_doc):
+    geo_doc["data_centers"][0]["location"] = [0, 200]
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "nearestdc")
+    assert_refused(code, stdout, err, 2, "data center dc1: location")
+
+
+def test_solve_report_is_one_line_per_violation(tmp_path, capsys, geo_doc):
+    geo_doc["clients"][0]["location"] = [91, 0]
+    geo_doc["clients"][2]["location"] = [0, "x"]
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert code == 2 and stdout == "" and "Traceback" not in err
+    assert [line.split(":")[0] for line in err.splitlines()] == ["client c1", "client c3"]
+
+
+def test_solve_non_string_id_exits_2(tmp_path, capsys, geo_doc):
+    geo_doc["data_centers"][1]["id"] = ["dc2"]
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert_refused(code, stdout, err, 2, "data center id ['dc2'] is not a string")
+
+
+def test_solve_without_data_centers_exits_2(tmp_path, capsys, geo_doc):
+    geo_doc["data_centers"] = []
+    for provider in geo_doc["providers"]:
+        provider["oper_cost"] = []
+    path = write_doc(tmp_path, geo_doc)
+    for algorithm in ("datum", "optcost", "nearestdc"):
+        code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", algorithm)
+        assert_refused(code, stdout, err, 2, "no data center")
+
+
+def test_compare_bad_seeds_exits_2(capsys):
+    code, stdout, err = run(capsys, "compare", "--seeds", "a", *SMALL_GEO)
+    assert_refused(code, stdout, err, 2, "invalid --seeds:")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys, instance_g):
+    path = write_instance(tmp_path, instance_g)
+    missing = str(tmp_path / "nodir" / "x.json")
+    code, stdout, err = run(
+        capsys, "solve", "--instance", path, "--algorithm", "datum", "--plan-out", missing
+    )
+    assert_refused(code, stdout, err, 2, "cannot write output:")
+    code, stdout, err = run(capsys, "generate", "--seed", "1", "--out", missing, *SMALL_GEO)
+    assert_refused(code, stdout, err, 2, "cannot write output:")
+
+
+def test_convert_from_ragged_uflp_exits_2(tmp_path, capsys):
+    uflp = {
+        "facilities": [{"id": "a", "open_cost": "1"}, {"id": "b", "open_cost": "1"}],
+        "clients": ["c1", "c2"],
+        "connection": [["1", "2"], ["1"]],
+    }
+    path = write_doc(tmp_path, uflp)
+    out = str(tmp_path / "market.json")
+    code, stdout, err = run(capsys, "convert", "--from-uflp", path, "--out", out)
+    assert_refused(code, stdout, err, 2, "cannot read UFLP file:")
+    uflp["connection"] = [["1", "2"]]
+    path = write_doc(tmp_path, uflp)
+    code, stdout, err = run(capsys, "convert", "--from-uflp", path, "--out", out)
+    assert_refused(code, stdout, err, 2, "cannot read UFLP file:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--seed", "1", "--out", "unused.json"),
+        ("compare", "--seeds", "1"),
+        ("sweep", "--knob", "band_to_fee", "--from", "-1", "--to", "1", "--steps", "2",
+         "--seeds", "1"),
+    ],
+    ids=["generate", "compare", "sweep"],
+)
+def test_bad_rate_exits_2(capsys, argv):
+    code, stdout, err = run(capsys, *argv, *SMALL_GEO, "--rate", "abc")
+    assert_refused(code, stdout, err, 2, "invalid scenario parameters: not a decimal number")
+
+
+@pytest.mark.parametrize(
+    "flag", [("--ratio-bf", "400"), ("--pareto-mean", "inf")], ids=["ratio-bf", "pareto-mean"]
+)
+def test_overflowing_scenario_flag_exits_2(capsys, flag):
+    code, stdout, err = run(capsys, "compare", "--seeds", "1", *SMALL_GEO, *flag)
+    assert_refused(code, stdout, err, 2, "invalid scenario parameters:")
+
+
+def test_unknown_algorithm_exits_4(tmp_path, capsys, instance_g):
+    path = write_instance(tmp_path, instance_g)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "magic")
+    assert_refused(code, stdout, err, 4, "unknown algorithm: 'magic'")
+    code, stdout, err = run(capsys, "compare", "--seeds", "1", "--algorithms", "datum,magic")
+    assert_refused(code, stdout, err, 4, "unknown algorithm: 'magic'")

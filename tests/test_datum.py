@@ -15,7 +15,6 @@ from datamarket.datum import (
     StepOneResult,
     build_subset_catalog_capped,
     datum_solve,
-    datum_solve_bulk,
     datum_step1,
     datum_step2,
     step1_objective,
@@ -225,7 +224,7 @@ def test_bulk_geo_buys_top_level():
         alpha=[[2, 2], [1, 1]],
         contracting="bulk",
     )
-    plan, breakdown = datum_solve_bulk(inst)
+    plan, breakdown = datum_solve(inst)
     assert plan.purchases == frozenset({("p1", 2)})
 
 
@@ -234,7 +233,7 @@ def test_bulk_instance_g():
         beta=[[5], [7]], fees=[2], bulk_fees=[2], demands=[1], alpha=[[4], [1]],
         contracting="bulk",
     )
-    plan, breakdown = datum_solve_bulk(inst)
+    plan, breakdown = datum_solve(inst)
     assert breakdown.total == 10
     assert ("p1", "dc2", 1) in plan.placements
 
@@ -245,7 +244,7 @@ def test_bulk_rejects_level_dependent_beta():
         contracting="bulk",
     )
     with pytest.raises(LevelDependentCosts):
-        datum_solve_bulk(inst)
+        datum_solve(inst)
 
 
 def test_bulk_matches_exhaustive_when_top_level_demanded():
@@ -272,5 +271,5 @@ def test_bulk_matches_exhaustive_when_top_level_demanded():
             alpha=[[F(rng.randint(0, 8)) for _ in range(clients)] for _ in range(num_dcs)],
             contracting="bulk",
         )
-        plan, breakdown = datum_solve_bulk(inst, DatumConfig(max_replicas=num_dcs))
+        plan, breakdown = datum_solve(inst, DatumConfig(max_replicas=num_dcs))
         assert breakdown.total == market_enumeration(inst)

@@ -7,7 +7,7 @@ import pytest
 
 from datamarket.model import evaluate_cost, split_by_provider
 from datamarket.single_dc import (
-    LevelDependentExecCost,
+    LevelDependentCosts,
     NoBreakpoint,
     breakpoints,
     categorize,
@@ -40,7 +40,7 @@ def test_categorize_all_top():
 def test_categorize_rejects_level_dependent_costs():
     sub = make_subproblem([F(1)], [F(1)], [1])
     bad = type(sub)(**{**sub.__dict__, "level_independent": False})
-    with pytest.raises(LevelDependentExecCost):
+    with pytest.raises(LevelDependentCosts):
         categorize(bad)
 
 
