@@ -182,10 +182,15 @@ def _generate(params: ScenarioParams) -> MarketInstance:
 
 
 def _read_instance(path: str) -> MarketInstance:
-    """Load and validate an instance file; a refusal lists every violation,
-    one per line."""
+    """Load and validate an instance file."""
     with _refusing("cannot read instance"):
         instance = load_instance(path)
+    return _validated(instance)
+
+
+def _validated(instance: MarketInstance) -> MarketInstance:
+    """The instance, if it is valid; a refusal lists every violation, one per
+    line."""
     report = validate_instance(instance)
     if not report.ok:
         raise DatamarketError("\n".join(report.violations))
@@ -330,7 +335,7 @@ def cmd_convert(args) -> int:
         raise DatamarketError("--from-uflp needs --out")
     with _refusing("cannot read UFLP file"), open(args.from_uflp, encoding="utf-8") as fh:
         uflp = uflp_from_json(json.load(fh))
-    dump_instance(from_uflp(uflp), args.out)
+    dump_instance(_validated(from_uflp(uflp)), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

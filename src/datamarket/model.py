@@ -14,11 +14,19 @@ threads.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from datamarket.numeric import distance_cost, format_money, to_micros, to_rational
+from datamarket.numeric import (
+    MICROS,
+    distance_cost,
+    distance_micros,
+    format_money,
+    to_micros,
+    to_rational,
+)
 
 
 class DatamarketError(ValueError):
@@ -136,16 +144,12 @@ class Plan:
     purchases: (provider_id, level) pairs bought (the z variables).
     placements: (provider_id, dc_id, level) copies stored (the y variables).
     assignments: (provider_id, client_id, dc_id, level) deliveries (the x
-    variables). Assignments are authoritative; served_level is derived.
+    variables).
     """
 
     purchases: frozenset[tuple[str, int]]
     placements: frozenset[tuple[str, str, int]]
     assignments: frozenset[tuple[str, str, str, int]]
-
-    @staticmethod
-    def empty() -> "Plan":
-        return Plan(frozenset(), frozenset(), frozenset())
 
     @staticmethod
     def union(parts: Iterable["Plan"]) -> "Plan":
@@ -156,13 +160,6 @@ class Plan:
             frozenset().union(*(p.placements for p in parts)),
             frozenset().union(*(p.assignments for p in parts)),
         )
-
-    def served_level(self) -> dict[tuple[str, str], tuple[str, int]]:
-        """(client, provider) -> (data center, level), recomputed from x."""
-        served: dict[tuple[str, str], tuple[str, int]] = {}
-        for provider_id, client_id, dc_id, level in self.assignments:
-            served[(client_id, provider_id)] = (dc_id, level)
-        return served
 
 
 @dataclass(frozen=True)
@@ -420,9 +417,14 @@ def _validate_exec_model(instance: MarketInstance) -> list[str]:
                         f" levels, expected {p.num_levels}"
                     )
                     continue
-                if any(v < 0 for v in per_level):
+                if not per_level:
+                    continue
+                # A row whose levels all equal its first needs only that one
+                # sign test; count() compares in C.
+                uniform = per_level.count(per_level[0]) == len(per_level)
+                if per_level[0] < 0 if uniform else any(v < 0 for v in per_level):
                     problems.append(f"exec model {p.id}: negative cost at dc {d} client {ci}")
-                if model.level_independent and any(v != per_level[0] for v in per_level):
+                if model.level_independent and not uniform:
                     problems.append(
                         f"exec model {p.id}: marked level-independent but varies with level"
                         f" at dc {d} client {ci}"
@@ -501,7 +503,7 @@ def _distance_table(instance: MarketInstance) -> list[list[int]]:
     if None in locations or any(dc.location is None for dc in instance.data_centers):
         raise ValueError("distance-based execution costs require coordinates")
     return [
-        [to_micros(distance_cost(*dc.location, *loc, rate)) for loc in locations]
+        [distance_micros(*dc.location, *loc, rate) for loc in locations]
         for dc in instance.data_centers
     ]
 
@@ -561,6 +563,10 @@ def evaluate_cost(instance: MarketInstance, plan: Plan) -> CostBreakdown:
     Operation cost sums beta over placements; execution cost sums alpha over
     assignments; purchasing cost charges the per-query fee once per
     assignment, or the bulk fee once per purchased (provider, level).
+
+    Execution costs are read from one table per call (the distance table, or
+    the explicit tensors) and summed in micro-units. The price never reads a
+    ProviderSubproblem, so it stays an independent check on the solvers.
     """
     check_plan(instance, plan)
     providers = {p.id: p for p in instance.providers}
@@ -571,19 +577,29 @@ def evaluate_cost(instance: MarketInstance, plan: Plan) -> CostBreakdown:
     for provider_id, dc_id, level in plan.placements:
         oper += providers[provider_id].oper_cost[dc_index[dc_id]][level - 1]
 
-    exec_total = Fraction(0)
-    purch = Fraction(0)
-    for provider_id, client_id, dc_id, level in plan.assignments:
-        exec_total += exec_cost_value(
-            instance, provider_id, dc_index[dc_id], client_index[client_id], level
+    if instance.exec_cost.mode == "distance":
+        table = _distance_table(instance)
+        exec_micros = sum(
+            table[dc_index[dc_id]][client_index[client_id]]
+            for _, client_id, dc_id, _ in plan.assignments
         )
-        if instance.contracting == "per_query":
-            purch += providers[provider_id].fee(level)
-    if instance.contracting == "bulk":
+    else:
+        tensors = instance.exec_cost.alpha_map()
+        exec_micros = sum(
+            to_micros(tensors[provider_id][dc_index[dc_id]][client_index[client_id]][level - 1])
+            for provider_id, client_id, dc_id, level in plan.assignments
+        )
+
+    purch = Fraction(0)
+    if instance.contracting == "per_query":
+        served = Counter((provider_id, level) for provider_id, _, _, level in plan.assignments)
+        for (provider_id, level), count in served.items():
+            purch += count * providers[provider_id].fee(level)
+    elif instance.contracting == "bulk":
         for provider_id, level in plan.purchases:
             purch += providers[provider_id].bulk_fee(level)
 
-    return CostBreakdown(oper=oper, exec=exec_total, purch=purch)
+    return CostBreakdown(oper=oper, exec=Fraction(exec_micros, MICROS), purch=purch)
 
 
 # --- JSON serialization ----------------------------------------------------
@@ -650,19 +666,30 @@ def instance_to_json(instance: MarketInstance) -> dict:
 
 
 def instance_from_json(doc: dict) -> MarketInstance:
+    seen: dict[str, Fraction] = {}
+
+    def rational(value):
+        """to_rational, once per distinct decimal string in this document;
+        equal strings share one immutable Fraction."""
+        if type(value) is not str:
+            return to_rational(value)
+        if value not in seen:
+            seen[value] = to_rational(value)
+        return seen[value]
+
     providers = tuple(
         Provider(
             id=p["id"],
             levels=tuple(
                 QualityLevel(
                     index=k + 1,
-                    quality=to_rational(l["quality"]),
-                    per_query_fee=to_rational(l["per_query_fee"]),
-                    bulk_fee=to_rational(l["bulk_fee"]) if "bulk_fee" in l else None,
+                    quality=rational(l["quality"]),
+                    per_query_fee=rational(l["per_query_fee"]),
+                    bulk_fee=rational(l["bulk_fee"]) if "bulk_fee" in l else None,
                 )
                 for k, l in enumerate(p["levels"])
             ),
-            oper_cost=tuple(tuple(to_rational(v) for v in row) for row in p["oper_cost"]),
+            oper_cost=tuple(tuple(rational(v) for v in row) for row in p["oper_cost"]),
         )
         for p in doc["providers"]
     )
@@ -673,7 +700,7 @@ def instance_from_json(doc: dict) -> MarketInstance:
     clients = tuple(
         Client(
             id=c["id"],
-            demands=tuple((pid, to_rational(w)) for pid, w in c["demands"].items()),
+            demands=tuple((pid, rational(w)) for pid, w in c["demands"].items()),
             location=tuple(c["location"]) if "location" in c else None,
         )
         for c in doc["clients"]
@@ -683,7 +710,7 @@ def instance_from_json(doc: dict) -> MarketInstance:
         exec_cost = ExecCostModel(
             mode="distance",
             level_independent=True,
-            rate_per_gigameter=to_rational(ec["rate_per_gigameter"]),
+            rate_per_gigameter=rational(ec["rate_per_gigameter"]),
         )
     else:
         exec_cost = ExecCostModel(
@@ -693,7 +720,7 @@ def instance_from_json(doc: dict) -> MarketInstance:
                 (
                     pid,
                     tuple(
-                        tuple(tuple(to_rational(v) for v in per_level) for per_level in per_client)
+                        tuple(tuple(map(rational, per_level)) for per_level in per_client)
                         for per_client in tensor
                     ),
                 )
@@ -726,13 +753,3 @@ def plan_to_json(plan: Plan) -> dict:
         "placements": sorted([pid, dc, lvl] for pid, dc, lvl in plan.placements),
         "assignments": sorted([pid, cid, dc, lvl] for pid, cid, dc, lvl in plan.assignments),
     }
-
-
-def plan_from_json(doc: dict) -> Plan:
-    return Plan(
-        purchases=frozenset((pid, int(lvl)) for pid, lvl in doc["purchases"]),
-        placements=frozenset((pid, dc, int(lvl)) for pid, dc, lvl in doc["placements"]),
-        assignments=frozenset(
-            (pid, cid, dc, int(lvl)) for pid, cid, dc, lvl in doc["assignments"]
-        ),
-    )

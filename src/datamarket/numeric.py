@@ -7,14 +7,15 @@ exact forms:
 
 - fractions.Fraction: the instance, the linear programs of the
   single-data-center solver, Datum's mu1 anticipation term (a product with
-  a quantized weight, so a multiple of 1e-12), evaluate_cost and every
-  reported total;
-- int micro-units (value * MICROS): the per-provider cost tables of
-  ProviderSubproblem and everything that only adds and compares them,
-  namely Datum's subset catalog and Step 2 and the exhaustive search.
+  a quantized weight, so a multiple of 1e-12) and every reported total;
+- int micro-units (value * MICROS): distance costs, the per-provider cost
+  tables of ProviderSubproblem and everything that only adds and compares
+  them, namely Datum's subset catalog and Step 2, the exhaustive search and
+  evaluate_cost's execution-cost sum.
 
 to_micros converts from the first form to the second and refuses any value
-that is not a whole number of quanta.
+that is not a whole number of quanta. Distance costs are rounded once, in
+ints (distance_micros); distance_cost is the same value as a Fraction.
 """
 
 from __future__ import annotations
@@ -110,10 +111,22 @@ def haversine_gigameters(lat1: float, lon1: float, lat2: float, lon2: float) -> 
     return km / 1e6
 
 
+def distance_micros(
+    lat1: float, lon1: float, lat2: float, lon2: float, rate_per_gigameter: Fraction
+) -> int:
+    """Distance-proportional transfer cost in micro-units: haversine
+    gigameters (a float, so an exact ratio of ints) times the rate, rounded
+    once to a whole micro-unit, ties to even."""
+    num, den = haversine_gigameters(lat1, lon1, lat2, lon2).as_integer_ratio()
+    den *= rate_per_gigameter.denominator
+    micros, rem = divmod(num * rate_per_gigameter.numerator * MICROS, den)
+    if 2 * rem > den or (2 * rem == den and micros % 2):
+        micros += 1
+    return micros
+
+
 def distance_cost(
     lat1: float, lon1: float, lat2: float, lon2: float, rate_per_gigameter: Fraction
 ) -> Fraction:
-    """Distance-proportional transfer cost: haversine gigameters times the rate,
-    quantized to 1e-6."""
-    dist = haversine_gigameters(lat1, lon1, lat2, lon2)
-    return quantize(Fraction(dist) * rate_per_gigameter)
+    """distance_micros as money."""
+    return Fraction(distance_micros(lat1, lon1, lat2, lon2, rate_per_gigameter), MICROS)

@@ -73,6 +73,18 @@ class ScenarioParams:
         return avg / self.num_providers
 
     def validate(self) -> None:
+        # NaN compares false with every bound, so it slips past range checks.
+        for name in (
+            "avg_providers_per_client",
+            "zipf_shape",
+            "pareto_mean",
+            "pareto_shape",
+            "ratio_band_to_fee",
+            "ratio_internal_to_external",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DatamarketError(f"{name} must be finite")
         if not 1 <= self.num_data_centers <= len(DC_STATES):
             raise DatamarketError(f"num_data_centers must be in 1..{len(DC_STATES)}")
         for name in ("num_providers", "num_clients", "levels_per_provider", "max_replicas"):

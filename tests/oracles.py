@@ -2,8 +2,10 @@
 
 Everything here is deliberately dumb and shares no code with the library
 paths it checks: exhaustive subset enumeration for market optima and UFLP,
-vertex enumeration for small LPs, and direct evaluation of category
-programs. Test-only; never a runtime dependency.
+vertex enumeration for small LPs, direct evaluation of category programs,
+and the per-assignment Fraction price with its Fraction distance formula.
+The plan helpers at the top are used only by tests. Test-only; never a
+runtime dependency.
 """
 
 from __future__ import annotations
@@ -11,10 +13,77 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from datamarket.model import MarketInstance, ProviderSubproblem, QualityLevel, min_level_index
-from datamarket.numeric import to_micros
+from datamarket.model import (
+    CostBreakdown,
+    MarketInstance,
+    Plan,
+    ProviderSubproblem,
+    QualityLevel,
+    check_plan,
+    min_level_index,
+)
+from datamarket.numeric import haversine_gigameters, quantize, to_micros
 
 ZERO = Fraction(0)
+
+
+def empty_plan() -> Plan:
+    return Plan(frozenset(), frozenset(), frozenset())
+
+
+def served_level(plan: Plan) -> dict[tuple[str, str], tuple[str, int]]:
+    """(client, provider) -> (data center, level), recomputed from x."""
+    return {
+        (client_id, provider_id): (dc_id, level)
+        for provider_id, client_id, dc_id, level in plan.assignments
+    }
+
+
+def plan_from_json(doc: dict) -> Plan:
+    return Plan(
+        purchases=frozenset((pid, int(lvl)) for pid, lvl in doc["purchases"]),
+        placements=frozenset((pid, dc, int(lvl)) for pid, dc, lvl in doc["placements"]),
+        assignments=frozenset(
+            (pid, cid, dc, int(lvl)) for pid, cid, dc, lvl in doc["assignments"]
+        ),
+    )
+
+
+def distance_cost_oracle(lat1, lon1, lat2, lon2, rate) -> Fraction:
+    """Haversine gigameters times the rate, quantized as a Fraction."""
+    return quantize(Fraction(haversine_gigameters(lat1, lon1, lat2, lon2)) * rate)
+
+
+def exec_cost_oracle(instance: MarketInstance, provider_id, dc_idx, client_idx, level) -> Fraction:
+    """One execution cost, recomputed from the instance on every call."""
+    model = instance.exec_cost
+    if model.mode == "distance":
+        dc = instance.data_centers[dc_idx]
+        client = instance.clients[client_idx]
+        return distance_cost_oracle(*dc.location, *client.location, model.rate_per_gigameter)
+    return dict(model.alpha)[provider_id][dc_idx][client_idx][level - 1]
+
+
+def evaluate_cost_oracle(instance: MarketInstance, plan: Plan) -> CostBreakdown:
+    """Price a feasible plan one Fraction at a time: beta per placement,
+    alpha and the per-query fee per assignment, the bulk fee per purchase."""
+    check_plan(instance, plan)
+    providers = {p.id: p for p in instance.providers}
+    dc_index = instance.dc_index()
+    client_index = instance.client_index()
+    oper = exec_total = purch = ZERO
+    for provider_id, dc_id, level in plan.placements:
+        oper += providers[provider_id].oper_cost[dc_index[dc_id]][level - 1]
+    for provider_id, client_id, dc_id, level in plan.assignments:
+        exec_total += exec_cost_oracle(
+            instance, provider_id, dc_index[dc_id], client_index[client_id], level
+        )
+        if instance.contracting == "per_query":
+            purch += providers[provider_id].fee(level)
+    if instance.contracting == "bulk":
+        for provider_id, level in plan.purchases:
+            purch += providers[provider_id].bulk_fee(level)
+    return CostBreakdown(oper=oper, exec=exec_total, purch=purch)
 
 
 def single_dc_brute_force(beta, fees, counts) -> Fraction | None:

@@ -19,7 +19,7 @@ from datamarket.baselines import (
 )
 from datamarket.model import exec_cost_value, split_by_provider
 from datamarket.numeric import MICROS
-from oracles import market_enumeration, uflp_brute_force
+from oracles import empty_plan, market_enumeration, served_level, uflp_brute_force
 
 F = Fraction
 
@@ -57,7 +57,7 @@ def test_opt_cost_instance_b(instance_b):
 def test_opt_cost_empty_clients():
     inst = build_instance(beta=[[1]], fees=[1], demands=[], alpha=[[]])
     plan, breakdown = opt_cost(inst)
-    assert plan == plan.empty()
+    assert plan == empty_plan()
     assert breakdown.total == 0
 
 
@@ -84,7 +84,7 @@ def test_opt_cost_no_client_can_improve():
         plan, _ = opt_cost(inst)
         (sub,) = split_by_provider(inst)
         open_pairs = [(dc, l) for pid, dc, l in plan.placements]
-        served = plan.served_level()
+        served = served_level(plan)
         dc_idx = inst.dc_index()
         for ci, c in enumerate(inst.clients):
             dc_id, level = served[(c.id, "p1")]
@@ -164,7 +164,7 @@ def test_nearest_dc_instance_a(instance_a):
 def test_nearest_dc_no_clients():
     inst = build_instance(beta=[[1]], fees=[1], demands=[], alpha=[[]])
     plan, breakdown = nearest_dc(inst)
-    assert plan == plan.empty()
+    assert plan == empty_plan()
     assert breakdown.total == 0
 
 

@@ -11,10 +11,10 @@ from datamarket.model import (
     evaluate_cost,
     instance_to_json,
     load_instance,
-    plan_from_json,
 )
 from datamarket.numeric import to_rational
 from datamarket.scenario import ScenarioParams, generate
+from oracles import plan_from_json
 
 
 def write_instance(tmp_path, instance, name="instance.json"):
@@ -499,3 +499,40 @@ def test_unknown_algorithm_exits_4(tmp_path, capsys, instance_g):
     assert_refused(code, stdout, err, 4, "unknown algorithm: 'magic'")
     code, stdout, err = run(capsys, "compare", "--seeds", "1", "--algorithms", "datum,magic")
     assert_refused(code, stdout, err, 4, "unknown algorithm: 'magic'")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("generate", "--seed", "1", "--out", "unused.json", "--zipf-shape", "nan"), "zipf_shape"),
+        (("compare", "--seeds", "1", "--zipf-shape", "nan"), "zipf_shape"),
+        (("compare", "--seeds", "1", "--pareto-mean", "inf"), "pareto_mean"),
+    ],
+    ids=["generate-zipf-nan", "compare-zipf-nan", "compare-pareto-mean-inf"],
+)
+def test_non_finite_scenario_flag_exits_2(tmp_path, capsys, monkeypatch, argv, field):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *argv, *SMALL_GEO)
+    assert_refused(code, stdout, err, 2, f"{field} must be finite")
+    assert not (tmp_path / "unused.json").exists()
+
+
+@pytest.mark.parametrize(
+    "facilities, clients, reason",
+    [
+        (["a", "a"], ["c1", "c2"], "duplicate data center id: a"),
+        (["a", "b"], [7, "c2"], "client id 7 is not a string"),
+    ],
+    ids=["duplicate-facility", "non-string-client"],
+)
+def test_convert_from_invalid_uflp_exits_2(tmp_path, capsys, facilities, clients, reason):
+    uflp = {
+        "facilities": [{"id": f, "open_cost": "1"} for f in facilities],
+        "clients": clients,
+        "connection": [["1", "2"], ["2", "1"]],
+    }
+    path = write_doc(tmp_path, uflp)
+    out = tmp_path / "market.json"
+    code, stdout, err = run(capsys, "convert", "--from-uflp", path, "--out", str(out))
+    assert_refused(code, stdout, err, 2, reason)
+    assert not out.exists()

@@ -6,6 +6,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_instance
 from datamarket.model import (
@@ -18,21 +20,30 @@ from datamarket.model import (
     instance_from_json,
     instance_to_json,
     min_level_index,
-    plan_from_json,
     plan_to_json,
     split_by_provider,
     validate_instance,
 )
 from datamarket.numeric import (
     MICROS,
+    distance_cost,
+    distance_micros,
     format_money,
     haversine_gigameters,
     quantize,
     to_micros,
     to_rational,
 )
-from datamarket.scenario import ScenarioParams, generate
-from oracles import market_enumeration, random_market
+from datamarket.scenario import InvalidRatioTargets, ScenarioParams, generate
+from oracles import (
+    distance_cost_oracle,
+    empty_plan,
+    evaluate_cost_oracle,
+    market_enumeration,
+    plan_from_json,
+    random_market,
+    served_level,
+)
 
 F = Fraction
 
@@ -195,7 +206,7 @@ def test_evaluate_instance_g(instance_g):
 
 def test_evaluate_empty():
     inst = build_instance(beta=[[1]], fees=[1], demands=[], alpha=[[]])
-    breakdown = evaluate_cost(inst, Plan.empty())
+    breakdown = evaluate_cost(inst, empty_plan())
     assert breakdown.total == 0
 
 
@@ -317,7 +328,7 @@ def test_plan_json_round_trip(instance_g):
         assignments=frozenset({("p1", "c1", "dc2", 1)}),
     )
     assert plan_from_json(plan_to_json(plan)) == plan
-    assert plan.served_level() == {("c1", "p1"): ("dc2", 1)}
+    assert served_level(plan) == {("c1", "p1"): ("dc2", 1)}
 
 
 def test_money_quantization():
@@ -412,13 +423,172 @@ def test_split_computes_each_distance_once(monkeypatch):
         )
     )
     calls = 0
-    original = model.distance_cost
+    original = model.distance_micros
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(model, "distance_cost", counting)
+    monkeypatch.setattr(model, "distance_micros", counting)
     split_by_provider(inst)
     assert 0 < calls <= len(inst.data_centers) * len(inst.clients)
+
+
+def test_evaluate_computes_each_distance_once(monkeypatch):
+    import datamarket.model as model
+    from datamarket.baselines import nearest_dc
+
+    inst = generate(
+        ScenarioParams(
+            seed=2, num_data_centers=4, num_providers=5, num_clients=30, levels_per_provider=4
+        )
+    )
+    plan, expected = nearest_dc(inst)
+    calls = 0
+    original = model.distance_micros
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(model, "distance_micros", counting)
+    assert evaluate_cost(inst, plan) == expected
+    assert 0 < calls <= len(inst.data_centers) * len(inst.clients)
+
+
+# --- int pricing against the per-assignment Fraction formulas --------------
+
+COORDINATES = st.tuples(
+    st.floats(-90, 90, allow_nan=False), st.floats(-180, 180, allow_nan=False)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    a=COORDINATES,
+    b=COORDINATES,
+    rate_micros=st.integers(0, 10**12),
+    tie=st.none() | st.integers(0, 10**9),
+    same_point=st.booleans(),
+)
+def test_distance_micros_matches_fraction_formula(a, b, rate_micros, tie, same_point):
+    if same_point:
+        b = a
+    rate = F(rate_micros, MICROS)
+    dist = F(haversine_gigameters(*a, *b))
+    if tie is not None and dist:
+        # An exact half-quantum product; odd and even ties both occur.
+        rate = F(2 * tie + 1, 2) / (dist * MICROS)
+        assert (dist * rate * MICROS).denominator == 2
+    expected = distance_cost_oracle(*a, *b, rate)
+    assert distance_micros(*a, *b, rate) == expected * MICROS
+    assert distance_cost(*a, *b, rate) == expected
+
+
+def _with_bulk_fees(instance, rng):
+    providers = tuple(
+        replace(
+            p,
+            levels=tuple(
+                replace(l, bulk_fee=F(rng.randint(0, 9_999_999), MICROS)) for l in p.levels
+            ),
+        )
+        for p in instance.providers
+    )
+    return replace(instance, providers=providers, contracting="bulk")
+
+
+def _random_feasible_plan(instance, rng):
+    """Each demand served at a random level it accepts from a random data
+    center, plus a few copies that serve nobody."""
+    providers = {p.id: p for p in instance.providers}
+    dc_ids = [d.id for d in instance.data_centers]
+    assignments = set()
+    for c in instance.clients:
+        for pid, w in c.demands:
+            p = providers[pid]
+            level = rng.randint(min_level_index(p, w), p.num_levels)
+            assignments.add((pid, c.id, rng.choice(dc_ids), level))
+    placements = {(pid, dc, level) for pid, _, dc, level in assignments}
+    for p in instance.providers:
+        if rng.random() < 0.5:
+            placements.add((p.id, rng.choice(dc_ids), rng.randint(1, p.num_levels)))
+    purchases = {(pid, level) for pid, _, level in placements}
+    return Plan(frozenset(purchases), frozenset(placements), frozenset(assignments))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32),
+    mode=st.sampled_from(("distance", "explicit", "level-dependent")),
+    bulk=st.booleans(),
+)
+def test_evaluate_cost_matches_per_assignment_oracle(seed, mode, bulk):
+    rng = random.Random(seed)
+    if mode == "distance":
+        params = ScenarioParams(
+            seed=seed, num_data_centers=rng.randint(1, 4), num_providers=rng.randint(1, 4),
+            num_clients=rng.randint(1, 12), levels_per_provider=rng.randint(1, 4),
+        )
+        try:
+            inst = generate(params)
+        except InvalidRatioTargets:  # every client sits at its data center
+            assume(False)
+    else:
+        inst = random_market(rng, max_providers=3, max_levels=4)
+        if mode == "level-dependent":
+            inst = _with_level_dependent_alpha(inst, rng)
+    if bulk:
+        inst = _with_bulk_fees(inst, rng)
+    plan = _random_feasible_plan(inst, rng)
+    assert evaluate_cost(inst, plan) == evaluate_cost_oracle(inst, plan)
+
+
+# Strings and numbers that convert to the same few values, and to different
+# values where an int and a float compare equal.
+COST_CELLS = (
+    "0.5", "0.500000", "0.5", "1", "1.0000004", "1.0000005", "1.0000015", "3.25", "3.25",
+    1, 1.0, 2.5, 2**70, float(2**70), "1180591620717411303424",
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_loader_equals_cell_by_cell_conversion(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    doc = instance_to_json(random_market(rng, max_providers=2, max_levels=3))
+    cell = st.sampled_from(COST_CELLS)
+    for p in doc["providers"]:
+        p["oper_cost"] = [[data.draw(cell) for _ in row] for row in p["oper_cost"]]
+    alpha = doc["exec_cost"]["alpha"]
+    for pid, tensor in alpha.items():
+        alpha[pid] = [[[data.draw(cell) for _ in lv] for lv in pc] for pc in tensor]
+    doc["exec_cost"]["level_independent"] = False
+
+    loaded = instance_from_json(doc)
+    assert tuple(p.oper_cost for p in loaded.providers) == tuple(
+        tuple(tuple(map(to_rational, row)) for row in p["oper_cost"]) for p in doc["providers"]
+    )
+    assert loaded.exec_cost.alpha == tuple(
+        (pid, tuple(tuple(tuple(map(to_rational, lv)) for lv in pc) for pc in tensor))
+        for pid, tensor in alpha.items()
+    )
+    # Equal strings share one Fraction.
+    by_string = {}
+    for (_, tensor), (_, raw) in zip(loaded.exec_cost.alpha, alpha.items()):
+        for pc, raw_pc in zip(tensor, raw):
+            for lv, raw_lv in zip(pc, raw_pc):
+                for value, text in zip(lv, raw_lv):
+                    if isinstance(text, str):
+                        assert by_string.setdefault(text, value) is value
+
+
+def test_validate_negative_cost_above_the_first_level():
+    inst = build_instance(beta=[[1, 1]], fees=[1, 2], demands=[1, 1], alpha=[[[1, -1], [-2, -2]]])
+    assert validate_instance(inst).violations == (
+        "exec model p1: negative cost at dc 0 client 0",
+        "exec model p1: marked level-independent but varies with level at dc 0 client 0",
+        "exec model p1: negative cost at dc 0 client 1",
+    )
