@@ -9,8 +9,14 @@ equality/inequality with zero tolerance.
 Internally the tableau is kept integral (fraction-free pivoting: every
 update divides by the previous pivot, which is exact), which is an order of
 magnitude faster than a Fraction tableau at the problem sizes used here.
-Intended for the small structured programs this package builds (tens of
-variables); no sparse formats, no dual simplex.
+
+The programs this package builds are mostly zeros, so zero cells are
+skipped without changing a single pivot: rows are scaled to integers over
+their nonzero coefficients only, the final check and the objective sum skip
+zero terms, and a pivot whose entry equals the previous pivot (the common
+case on 0/±1 data) updates only the columns where the pivot row is
+nonzero. Any other pivot rescales the whole tableau as before. The input
+stays a dense LinearProgram; no sparse formats, no dual simplex.
 """
 
 from __future__ import annotations
@@ -83,13 +89,13 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         return LpSolution(status, (), None, False)
     values = tab.extract_values()
     _verify(lp, values)
-    obj = sum((c * v for c, v in zip(lp.objective, values)), Fraction(0))
+    obj = sum((c * v for c, v in zip(lp.objective, values) if c and v), Fraction(0))
     return LpSolution("optimal", values, obj, True)
 
 
 def _verify(lp: LinearProgram, values: tuple[Fraction, ...]) -> None:
     for coeffs, rel, rhs in lp.rows:
-        lhs = sum((a * v for a, v in zip(coeffs, values)), Fraction(0))
+        lhs = sum((a * v for a, v in zip(coeffs, values) if a and v), Fraction(0))
         ok = (rel == LE and lhs <= rhs) or (rel == GE and lhs >= rhs) or (rel == EQ and lhs == rhs)
         if not ok:
             raise AssertionError(f"solver bug: constraint violated ({lhs} {rel} {rhs})")
@@ -126,11 +132,12 @@ class _Tableau:
         art_at = self.art0
         art_rows = []
         for coeffs, rel, rhs in normalized:
-            mult = lcm(rhs.denominator, *(a.denominator for a in coeffs))
+            nonzero = [(j, a) for j, a in enumerate(coeffs) if a]
+            mult = lcm(rhs.denominator, *(a.denominator for _, a in nonzero))
             row = [0] * (self.width + 1)
-            for j, a in enumerate(coeffs):
-                row[j] = int(a * mult)
-            row[-1] = int(rhs * mult)
+            for j, a in nonzero:
+                row[j] = a.numerator * (mult // a.denominator)
+            row[-1] = rhs.numerator * (mult // rhs.denominator)
             if rel == LE:
                 row[slack_at] = 1
                 self.basis.append(slack_at)
@@ -150,10 +157,11 @@ class _Tableau:
             self.T.append(row)
 
         # Phase-2 reduced costs: initial basis has zero objective weight.
-        mult = lcm(1, *(c.denominator for c in objective))
+        nonzero = [(j, c) for j, c in enumerate(objective) if c]
+        mult = lcm(1, *(c.denominator for _, c in nonzero))
         self.cost2 = [0] * (self.width + 1)
-        for j, c in enumerate(objective):
-            self.cost2[j] = int(c * mult)
+        for j, c in nonzero:
+            self.cost2[j] = c.numerator * (mult // c.denominator)
         # Phase-1 reduced costs: minimize the artificial sum, priced out
         # against the artificial rows of the initial basis.
         self.cost1 = [0] * (self.width + 1)
@@ -218,14 +226,21 @@ class _Tableau:
         piv = T[r][c]
         prow = T[r]
         den = self.den
+        # With piv == den a row changes only on the pivot row's support, by
+        # f * prow[j] // den (exact: den divides row[j]*den - f*prow[j]).
+        support = [j for j in range(self.width + 1) if prow[j]] if piv == den else None
         for row in (*T, self.cost1, self.cost2):
             if row is prow:
                 continue
             f = row[c]
+            if support is not None:
+                if f:
+                    for j in support:
+                        row[j] -= f * prow[j] // den
+                continue
             if f == 0:
-                if piv != den:
-                    for j in range(self.width + 1):
-                        row[j] = row[j] * piv // den
+                for j in range(self.width + 1):
+                    row[j] = row[j] * piv // den
                 continue
             for j in range(self.width + 1):
                 row[j] = (row[j] * piv - f * prow[j]) // den

@@ -85,6 +85,14 @@ class ScenarioParams:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise DatamarketError(f"{name} must be finite")
+        # Calibration targets 10**ratio, which overflows a float above ~308.
+        for name in ("ratio_band_to_fee", "ratio_internal_to_external"):
+            try:
+                10.0 ** getattr(self, name)
+            except OverflowError:
+                raise DatamarketError(
+                    f"{name} is too large: 10**{name} overflows a float"
+                ) from None
         if not 1 <= self.num_data_centers <= len(DC_STATES):
             raise DatamarketError(f"num_data_centers must be in 1..{len(DC_STATES)}")
         for name in ("num_providers", "num_clients", "levels_per_provider", "max_replicas"):
@@ -269,25 +277,3 @@ def sweep_params(
         point.validate()
         points.append(point)
     return points
-
-
-def instance_log_ratios(instance: MarketInstance) -> tuple[float, float]:
-    """Realized (log10((alpha+beta)/f), log10(alpha/(beta+f))) of an instance,
-    using the same aggregates calibration targets: alpha summed over all
-    (data center, client) pairs, beta over (provider, data center) pairs at
-    level one, fees over all (provider, level) pairs."""
-    from datamarket.model import exec_cost_value
-
-    alpha_sum = ZERO
-    for d in range(len(instance.data_centers)):
-        for c in range(len(instance.clients)):
-            alpha_sum += exec_cost_value(instance, instance.providers[0].id, d, c, 1)
-    beta_sum = sum(
-        (p.oper_cost[d][0] for p in instance.providers for d in range(len(instance.data_centers))),
-        ZERO,
-    )
-    fee_sum = sum((l.per_query_fee for p in instance.providers for l in p.levels), ZERO)
-    return (
-        math.log10(float((alpha_sum + beta_sum) / fee_sum)),
-        math.log10(float(alpha_sum / (beta_sum + fee_sum))),
-    )

@@ -112,25 +112,6 @@ def _first_reach(y_frac: Sequence[Fraction], i: int) -> int:
     raise NoBreakpoint(f"cumulative openings from level {i} never reach 1")
 
 
-def reconstruct_choices(
-    y_frac: Sequence[Fraction], bps: Breakpoints
-) -> dict[tuple[int, int], Fraction]:
-    """Category choices as a function of the openings: chi_i(l) = y(l) below
-    the breakpoint, the leftover mass exactly at it, zero beyond."""
-    chi: dict[tuple[int, int], Fraction] = {}
-    for i, m_i in enumerate(bps.m, start=1):
-        used = ZERO
-        for level in range(i, len(y_frac) + 1):
-            if level < m_i:
-                chi[(i, level)] = y_frac[level - 1]
-                used += y_frac[level - 1]
-            elif level == m_i:
-                chi[(i, level)] = ONE - used
-            else:
-                chi[(i, level)] = ZERO
-    return chi
-
-
 def category_relaxation_lp(
     beta: Sequence[Fraction], fees: Sequence[Fraction], counts: Sequence[int]
 ) -> tuple[LinearProgram, dict[tuple[int, int], int]]:

@@ -4,15 +4,21 @@ Everything here is deliberately dumb and shares no code with the library
 paths it checks: exhaustive subset enumeration for market optima and UFLP,
 vertex enumeration for small LPs, direct evaluation of category programs,
 and the per-assignment Fraction price with its Fraction distance formula.
-The plan helpers at the top are used only by tests. Test-only; never a
-runtime dependency.
+The one exception is `DenseTableau`, the library's simplex tableau with its
+pivot swapped for the dense loop, which checks that the sparse pivot takes
+the same steps. The plan helpers at the top, `instance_log_ratios` and
+`reconstruct_choices` are used only by tests. Test-only; never a runtime
+dependency.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
+from datamarket.lp import _Tableau
 from datamarket.model import (
     CostBreakdown,
     MarketInstance,
@@ -20,11 +26,14 @@ from datamarket.model import (
     ProviderSubproblem,
     QualityLevel,
     check_plan,
+    exec_cost_value,
     min_level_index,
 )
 from datamarket.numeric import haversine_gigameters, quantize, to_micros
+from datamarket.single_dc import Breakpoints
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def empty_plan() -> Plan:
@@ -84,6 +93,45 @@ def evaluate_cost_oracle(instance: MarketInstance, plan: Plan) -> CostBreakdown:
         for provider_id, level in plan.purchases:
             purch += providers[provider_id].bulk_fee(level)
     return CostBreakdown(oper=oper, exec=exec_total, purch=purch)
+
+
+def instance_log_ratios(instance: MarketInstance) -> tuple[float, float]:
+    """Realized (log10((alpha+beta)/f), log10(alpha/(beta+f))) of an instance,
+    using the same aggregates calibration targets: alpha summed over all
+    (data center, client) pairs, beta over (provider, data center) pairs at
+    level one, fees over all (provider, level) pairs."""
+    alpha_sum = ZERO
+    for d in range(len(instance.data_centers)):
+        for c in range(len(instance.clients)):
+            alpha_sum += exec_cost_value(instance, instance.providers[0].id, d, c, 1)
+    beta_sum = sum(
+        (p.oper_cost[d][0] for p in instance.providers for d in range(len(instance.data_centers))),
+        ZERO,
+    )
+    fee_sum = sum((l.per_query_fee for p in instance.providers for l in p.levels), ZERO)
+    return (
+        math.log10(float((alpha_sum + beta_sum) / fee_sum)),
+        math.log10(float(alpha_sum / (beta_sum + fee_sum))),
+    )
+
+
+def reconstruct_choices(
+    y_frac: Sequence[Fraction], bps: Breakpoints
+) -> dict[tuple[int, int], Fraction]:
+    """Category choices as a function of the openings: chi_i(l) = y(l) below
+    the breakpoint, the leftover mass exactly at it, zero beyond."""
+    chi: dict[tuple[int, int], Fraction] = {}
+    for i, m_i in enumerate(bps.m, start=1):
+        used = ZERO
+        for level in range(i, len(y_frac) + 1):
+            if level < m_i:
+                chi[(i, level)] = y_frac[level - 1]
+                used += y_frac[level - 1]
+            elif level == m_i:
+                chi[(i, level)] = ONE - used
+            else:
+                chi[(i, level)] = ZERO
+    return chi
 
 
 def single_dc_brute_force(beta, fees, counts) -> Fraction | None:
@@ -308,6 +356,25 @@ def uflp_brute_force(open_costs, connection) -> Fraction | None:
     if num_clients == 0:
         return ZERO
     return best
+
+
+class DenseTableau(_Tableau):
+    """The simplex tableau with a dense fraction-free pivot: every entry of
+    every other row is recomputed, zero pivot-row cells included."""
+
+    def _pivot(self, r: int, c: int) -> None:
+        T, prow, piv, den = self.T, self.T[r], self.T[r][c], self.den
+        for row in (*T, self.cost1, self.cost2):
+            if row is not prow:
+                f = row[c]
+                for j in range(self.width + 1):
+                    row[j] = (row[j] * piv - f * prow[j]) // den
+        self.basis[r] = c
+        self.den = abs(piv)
+        if piv < 0:
+            for row in (*T, self.cost1, self.cost2):
+                for j in range(self.width + 1):
+                    row[j] = -row[j]
 
 
 def lp_vertex_enumeration(objective, rows) -> tuple[str, Fraction | None]:

@@ -517,6 +517,21 @@ def test_non_finite_scenario_flag_exits_2(tmp_path, capsys, monkeypatch, argv, f
     assert not (tmp_path / "unused.json").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "compare"])
+@pytest.mark.parametrize(
+    "flag, field",
+    [("--ratio-bf", "ratio_band_to_fee"), ("--ratio-ie", "ratio_internal_to_external")],
+    ids=["ratio-bf", "ratio-ie"],
+)
+def test_overflowing_ratio_target_is_refused_by_name(tmp_path, capsys, monkeypatch, command,
+                                                     flag, field):
+    monkeypatch.chdir(tmp_path)
+    seed = ("--seed", "1", "--out", "unused.json") if command == "generate" else ("--seeds", "1")
+    code, stdout, err = run(capsys, command, *seed, *SMALL_GEO, flag, "400")
+    assert_refused(code, stdout, err, 2, f"invalid scenario parameters: {field} is too large")
+    assert not (tmp_path / "unused.json").exists()
+
+
 @pytest.mark.parametrize(
     "facilities, clients, reason",
     [

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from datamarket.lp import EQ, GE, LE, DimensionMismatch, LinearProgram, lp_solve
-from datamarket.single_dc import reduced_open_levels_lp
-from oracles import lp_vertex_enumeration
+from datamarket import lp as lp_module
+from datamarket.lp import EQ, GE, LE, DimensionMismatch, LinearProgram, _Tableau, lp_solve
+from datamarket.single_dc import category_relaxation_lp, reduced_open_levels_lp
+from oracles import DenseTableau, lp_vertex_enumeration
 
 F = Fraction
 ONE = F(1)
@@ -190,3 +191,80 @@ def test_interval_lp_extreme_points_are_binary():
         sol = lp_solve(problem)
         assert sol.status == "optimal"
         assert all(v == 0 or v == 1 for v in sol.values), sol.values
+
+
+def solve_recording(monkeypatch, tableau, problem):
+    """lp_solve through the given tableau class, with every pivot recorded
+    as (row, column, pivot entry, den before the pivot)."""
+    pivots = []
+
+    class Recording(tableau):
+        def _pivot(self, r, c):
+            pivots.append((r, c, self.T[r][c], self.den))
+            super()._pivot(r, c)
+
+    monkeypatch.setattr(lp_module, "_Tableau", Recording)
+    return lp_solve(problem), pivots
+
+
+def random_sparse_lp(rng):
+    """A feasible-by-construction LP with zero-heavy rows, fractional data,
+    mixed relations, some upper bounds and a redundant equality row (whose
+    artificial stays basic after phase 1 and is driven out by any nonzero,
+    possibly negative, pivot)."""
+    n = rng.randint(2, 10)
+    point = [F(rng.randint(0, 4), rng.choice([1, 2])) for _ in range(n)]
+
+    def coeff(zero_share):
+        if rng.random() < zero_share:
+            return ZERO
+        return F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.choice([1, 1, 2, 3, 5]))
+
+    rows = []
+    for _ in range(rng.randint(1, 10)):
+        coeffs = [coeff(0.7) for _ in range(n)]
+        lhs = sum((a * x for a, x in zip(coeffs, point)), ZERO)
+        rel = rng.choice([LE, EQ, GE])
+        slack = F(rng.randint(0, 3))
+        rows.append((coeffs, rel, lhs + slack if rel == LE else lhs - slack if rel == GE else lhs))
+    eq_rows = [row for row in rows if row[1] == EQ]
+    if eq_rows and rng.random() < 0.5:
+        coeffs, _, rhs = rng.choice(eq_rows)
+        scale = F(rng.choice([-3, -2, -1, 2]))
+        rows.append(([a * scale for a in coeffs], EQ, rhs * scale))
+    objective = [coeff(0.3) for _ in range(n)]
+    upper = [None if rng.random() < 0.4 else F(rng.randint(4, 9)) for _ in range(n)]
+    return lp(objective, rows, upper)
+
+
+def random_category_lp(rng, levels=16):
+    fees, acc = [], ZERO
+    for _ in range(levels):
+        acc += F(rng.randint(1, 9))
+        fees.append(acc)
+    beta = [F(rng.randint(0, 60)) for _ in range(levels)]
+    counts = [0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(levels)]
+    counts[-1] = max(counts[-1], 1)
+    return category_relaxation_lp(beta, fees, counts)[0]
+
+
+def test_sparse_pivot_takes_the_dense_pivots(monkeypatch):
+    # The production pivot skips zero cells; the oracle recomputes every
+    # cell. Same status, extreme point, objective and pivot sequence.
+    rng = random.Random(8)
+    problems = [random_sparse_lp(rng) for _ in range(400)]
+    problems += [random_category_lp(rng) for _ in range(4)]
+    seen = []
+    for problem in problems:
+        sol, pivots = solve_recording(monkeypatch, _Tableau, problem)
+        want, want_pivots = solve_recording(monkeypatch, DenseTableau, problem)
+        assert (sol.status, sol.values, sol.objective_value) == (
+            want.status, want.values, want.objective_value
+        )
+        assert pivots == want_pivots
+        seen += pivots
+    # Both pivot paths ran: entries equal to den, other positive entries,
+    # and negative ones (den changes sign).
+    assert any(piv == den for _, _, piv, den in seen)
+    assert any(piv > 0 and piv != den for _, _, piv, den in seen)
+    assert any(piv < 0 for _, _, piv, _ in seen)

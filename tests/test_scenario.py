@@ -11,12 +11,12 @@ from datamarket.scenario import (
     ScenarioParams,
     calibration_scales,
     generate,
-    instance_log_ratios,
     pareto_draw,
     sweep_params,
     zipf_level,
 )
 from datamarket.rng import SplitMix64
+from oracles import instance_log_ratios
 
 F = Fraction
 

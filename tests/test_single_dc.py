@@ -12,11 +12,10 @@ from datamarket.single_dc import (
     breakpoints,
     categorize,
     lower_single_dc_plan,
-    reconstruct_choices,
     solve_single_dc,
     solve_single_dc_bulk,
 )
-from oracles import make_subproblem, single_dc_brute_force
+from oracles import make_subproblem, reconstruct_choices, single_dc_brute_force
 
 F = Fraction
 HALF = F(1, 2)
