@@ -81,11 +81,12 @@ class UnknownAlgorithm(DatamarketError):
 @contextmanager
 def _refusing(prefix: str):
     """Refuse missing or malformed outside input read in the block (exit 2),
-    with a reason that starts with prefix."""
+    with a reason that starts with prefix. A missing key names itself."""
     try:
         yield
     except MALFORMED as exc:
-        raise DatamarketError(f"{prefix}: {exc}") from exc
+        reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise DatamarketError(f"{prefix}: {reason}") from exc
 
 
 @dataclass(frozen=True)

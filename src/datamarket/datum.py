@@ -166,9 +166,8 @@ def transformed_costs(
 
 def datum_step1(sub: ProviderSubproblem, tc: TransformedCosts) -> StepOneResult:
     """Solve purchasing as a single data center under the transformed costs."""
-    profile = categorize(sub)
     fees = [lvl.per_query_fee for lvl in sub.levels]
-    plan = _solve_categories(tc.beta_star, fees, profile.counts)
+    plan = _solve_categories(tc.beta_star, fees, categorize(sub))
     choice = plan.choice_map()
     client_levels = tuple(choice[ml] for ml in sub.min_levels)
     return StepOneResult(plan.open_levels, client_levels, plan.objective)

@@ -10,13 +10,13 @@ Internally the tableau is kept integral (fraction-free pivoting: every
 update divides by the previous pivot, which is exact), which is an order of
 magnitude faster than a Fraction tableau at the problem sizes used here.
 
-The programs this package builds are mostly zeros, so zero cells are
-skipped without changing a single pivot: rows are scaled to integers over
-their nonzero coefficients only, the final check and the objective sum skip
-zero terms, and a pivot whose entry equals the previous pivot (the common
-case on 0/±1 data) updates only the columns where the pivot row is
-nonzero. Any other pivot rescales the whole tableau as before. The input
-stays a dense LinearProgram; no sparse formats, no dual simplex.
+Constraint rows are sparse: each is ({column: coefficient}, relation, rhs),
+and a column absent from the dict has coefficient zero. The programs this
+package builds have a handful of nonzeros per row, so the builders, the
+tableau set-up and the final exact check touch only those. A pivot whose
+entry equals the previous pivot (the common case on 0/±1 data) updates only
+the columns where the pivot row is nonzero; any other pivot rescales the
+whole tableau. Skipping zeros changes no pivot. No dual simplex.
 """
 
 from __future__ import annotations
@@ -30,17 +30,16 @@ LE, EQ, GE = "<=", "=", ">="
 _MAX_PIVOTS = 200_000
 
 
-class DimensionMismatch(Exception):
-    """A constraint row's width does not match the objective."""
-
-
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize objective . x  subject to rows, x >= 0, optional x <= upper."""
+    """minimize objective . x  subject to rows, x >= 0.
+
+    Each row is ({column: coefficient}, relation, rhs) over the columns
+    0..len(objective)-1; absent columns are zero.
+    """
 
     objective: tuple[Fraction, ...]
-    rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
-    upper_bounds: tuple[Fraction | None, ...] | None = None
+    rows: tuple[tuple[dict[int, Fraction], str, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,6 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: tuple[Fraction, ...]
     objective_value: Fraction | None
-    is_extreme_point: bool
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
@@ -56,55 +54,38 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     n = len(lp.objective)
     rows = []
     for coeffs, rel, rhs in lp.rows:
-        if len(coeffs) != n:
-            raise DimensionMismatch(f"row width {len(coeffs)} != objective width {n}")
         if rel not in (LE, EQ, GE):
             raise ValueError(f"unknown relation {rel!r}")
-        rows.append((list(coeffs), rel, rhs))
-    if lp.upper_bounds is not None:
-        if len(lp.upper_bounds) != n:
-            raise DimensionMismatch("upper_bounds width != objective width")
-        for j, ub in enumerate(lp.upper_bounds):
-            if ub is not None:
-                row = [Fraction(0)] * n
-                row[j] = Fraction(1)
-                rows.append((row, LE, ub))
-
-    # Presolve: drop identically-zero rows, catching constant infeasibility.
-    kept = []
-    for coeffs, rel, rhs in rows:
-        if any(coeffs):
-            kept.append((coeffs, rel, rhs))
+        if any(not 0 <= j < n for j in coeffs):
+            raise ValueError(f"column index outside 0..{n - 1}: {sorted(coeffs)}")
+        if any(coeffs.values()):
+            rows.append((coeffs, rel, rhs))
             continue
+        # Presolve: a row without a nonzero is dropped, or is infeasible.
         zero_ok = (
             (rel == LE and rhs >= 0) or (rel == GE and rhs <= 0) or (rel == EQ and rhs == 0)
         )
         if not zero_ok:
-            return LpSolution("infeasible", (), None, False)
-    rows = kept
+            return LpSolution("infeasible", (), None)
 
     tab = _Tableau(n, rows, lp.objective)
     status = tab.solve()
     if status != "optimal":
-        return LpSolution(status, (), None, False)
+        return LpSolution(status, (), None)
     values = tab.extract_values()
     _verify(lp, values)
     obj = sum((c * v for c, v in zip(lp.objective, values) if c and v), Fraction(0))
-    return LpSolution("optimal", values, obj, True)
+    return LpSolution("optimal", values, obj)
 
 
 def _verify(lp: LinearProgram, values: tuple[Fraction, ...]) -> None:
     for coeffs, rel, rhs in lp.rows:
-        lhs = sum((a * v for a, v in zip(coeffs, values) if a and v), Fraction(0))
+        lhs = sum((a * values[j] for j, a in coeffs.items() if values[j]), Fraction(0))
         ok = (rel == LE and lhs <= rhs) or (rel == GE and lhs >= rhs) or (rel == EQ and lhs == rhs)
         if not ok:
             raise AssertionError(f"solver bug: constraint violated ({lhs} {rel} {rhs})")
     if any(v < 0 for v in values):
         raise AssertionError("solver bug: negative variable value")
-    if lp.upper_bounds is not None:
-        for v, ub in zip(values, lp.upper_bounds):
-            if ub is not None and v > ub:
-                raise AssertionError("solver bug: upper bound violated")
 
 
 class _Tableau:
@@ -115,7 +96,7 @@ class _Tableau:
         normalized = []
         for coeffs, rel, rhs in rows:
             if rhs < 0:
-                coeffs = [-a for a in coeffs]
+                coeffs = {j: -a for j, a in coeffs.items()}
                 rhs = -rhs
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
             normalized.append((coeffs, rel, rhs))
@@ -132,10 +113,9 @@ class _Tableau:
         art_at = self.art0
         art_rows = []
         for coeffs, rel, rhs in normalized:
-            nonzero = [(j, a) for j, a in enumerate(coeffs) if a]
-            mult = lcm(rhs.denominator, *(a.denominator for _, a in nonzero))
+            mult = lcm(rhs.denominator, *(a.denominator for a in coeffs.values()))
             row = [0] * (self.width + 1)
-            for j, a in nonzero:
+            for j, a in coeffs.items():
                 row[j] = a.numerator * (mult // a.denominator)
             row[-1] = rhs.numerator * (mult // rhs.denominator)
             if rel == LE:

@@ -52,21 +52,6 @@ class NoBreakpoint(Exception):
 
 
 @dataclass(frozen=True)
-class CategoryProfile:
-    """counts[i-1] = number of clients whose minimum level index is i."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.counts)
-
-    @property
-    def num_clients(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
 class SingleDcPlan:
     """Binary open-level decisions plus each category's chosen level."""
 
@@ -78,32 +63,19 @@ class SingleDcPlan:
         return dict(self.choices)
 
 
-@dataclass(frozen=True)
-class Breakpoints:
-    """m[i-1] = first level at which cumulative openings from i reach one."""
-
-    m: tuple[int, ...]
-
-
-def categorize(sub: ProviderSubproblem) -> CategoryProfile:
-    """Count clients per minimum level index. Empty categories are allowed."""
+def categorize(sub: ProviderSubproblem) -> tuple[int, ...]:
+    """counts[i-1] = number of clients whose minimum level index is i. Empty
+    categories are allowed."""
     if not sub.level_independent:
         raise LevelDependentCosts(f"provider {sub.provider_id}: execution costs vary with level")
     counts = [0] * sub.num_levels
     for lvl in sub.min_levels:
         counts[lvl - 1] += 1
-    return CategoryProfile(tuple(counts))
-
-
-def breakpoints(y_frac: Sequence[Fraction]) -> Breakpoints:
-    """For each category i, the level m_i with cum(y, i..m_i-1) < 1 <= cum(y, i..m_i)."""
-    levels = len(y_frac)
-    if levels == 0 or y_frac[-1] != 1:
-        raise NoBreakpoint("breakpoints need y(L) = 1")
-    return Breakpoints(tuple(_first_reach(y_frac, i) for i in range(1, levels + 1)))
+    return tuple(counts)
 
 
 def _first_reach(y_frac: Sequence[Fraction], i: int) -> int:
+    """The breakpoint m_i of category i: cum(y, i..m_i-1) < 1 <= cum(y, i..m_i)."""
     total = ZERO
     for level in range(i, len(y_frac) + 1):
         total += y_frac[level - 1]
@@ -137,17 +109,11 @@ def category_relaxation_lp(
 
     rows = []
     for (i, level), j in chi_index.items():
-        row = [ZERO] * at
-        row[j] = ONE
-        row[level - 1] = -ONE
-        rows.append((tuple(row), LE, ZERO))
+        rows.append(({j: ONE, level - 1: -ONE}, LE, ZERO))
     for i in range(1, levels + 1):
         if counts[i - 1] == 0:
             continue
-        row = [ZERO] * at
-        for level in range(i, levels + 1):
-            row[chi_index[(i, level)]] = ONE
-        rows.append((tuple(row), EQ, ONE))
+        rows.append(({chi_index[(i, level)]: ONE for level in range(i, levels + 1)}, EQ, ONE))
     return LinearProgram(tuple(objective), tuple(rows)), chi_index
 
 
@@ -173,18 +139,10 @@ def reduced_open_levels_lp(
         for level in range(i, m_i):
             objective[level - 1] += counts[i - 1] * (fees[level - 1] - fees[m_i - 1])
         if m_i > i:
-            row = [ZERO] * levels
-            for level in range(i, m_i):
-                row[level - 1] = ONE
-            rows.append((tuple(row), LE, ONE))
-        row = [ZERO] * levels
-        for level in range(i, m_i + 1):
-            row[level - 1] = ONE
-        rows.append((tuple(row), GE, ONE))
+            rows.append(({level - 1: ONE for level in range(i, m_i)}, LE, ONE))
+        rows.append(({level - 1: ONE for level in range(i, m_i + 1)}, GE, ONE))
     if counts[levels - 1] > 0:
-        row = [ZERO] * levels
-        row[levels - 1] = ONE
-        rows.append((tuple(row), EQ, ONE))
+        rows.append(({levels - 1: ONE}, EQ, ONE))
     return LinearProgram(tuple(objective), tuple(rows))
 
 
@@ -276,9 +234,8 @@ def solve_single_dc(sub: ProviderSubproblem) -> SingleDcPlan:
     """Exactly optimal purchasing for a subproblem with one data center."""
     if sub.num_dcs != 1:
         raise ValueError("solve_single_dc needs exactly one data center")
-    profile = categorize(sub)
     beta = [Fraction(b, MICROS) for b in sub.beta[0]]
-    return _solve_categories(beta, _fee_vector(sub), profile.counts)
+    return _solve_categories(beta, _fee_vector(sub), categorize(sub))
 
 
 def solve_single_dc_bulk(sub: ProviderSubproblem) -> SingleDcPlan:
@@ -289,12 +246,12 @@ def solve_single_dc_bulk(sub: ProviderSubproblem) -> SingleDcPlan:
     """
     if sub.num_dcs != 1:
         raise ValueError("solve_single_dc_bulk needs exactly one data center")
-    profile = categorize(sub)
-    if profile.num_clients == 0:
+    counts = categorize(sub)
+    if sum(counts) == 0:
         return SingleDcPlan(frozenset(), (), ZERO)
     top = sub.num_levels
     objective = Fraction(sub.beta[0][top - 1], MICROS) + sub.bulk_fee(top)
-    choices = tuple((i, top) for i in range(1, top + 1) if profile.counts[i - 1] > 0)
+    choices = tuple((i, top) for i in range(1, top + 1) if counts[i - 1] > 0)
     return SingleDcPlan(frozenset([top]), choices, objective)
 
 

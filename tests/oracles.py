@@ -4,9 +4,11 @@ Everything here is deliberately dumb and shares no code with the library
 paths it checks: exhaustive subset enumeration for market optima and UFLP,
 vertex enumeration for small LPs, direct evaluation of category programs,
 and the per-assignment Fraction price with its Fraction distance formula.
-The one exception is `DenseTableau`, the library's simplex tableau with its
+The exceptions are `DenseTableau`, the library's simplex tableau with its
 pivot swapped for the dense loop, which checks that the sparse pivot takes
-the same steps. The plan helpers at the top, `instance_log_ratios` and
+the same steps, and `breakpoints`, which builds the `Breakpoints` that
+`reconstruct_choices` takes with the solver's `single_dc._first_reach`.
+The plan helpers at the top, `instance_log_ratios`, `breakpoints` and
 `reconstruct_choices` are used only by tests. Test-only; never a runtime
 dependency.
 """
@@ -14,6 +16,7 @@ dependency.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -30,7 +33,7 @@ from datamarket.model import (
     min_level_index,
 )
 from datamarket.numeric import haversine_gigameters, quantize, to_micros
-from datamarket.single_dc import Breakpoints
+from datamarket.single_dc import NoBreakpoint, _first_reach
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -113,6 +116,21 @@ def instance_log_ratios(instance: MarketInstance) -> tuple[float, float]:
         math.log10(float((alpha_sum + beta_sum) / fee_sum)),
         math.log10(float(alpha_sum / (beta_sum + fee_sum))),
     )
+
+
+@dataclass(frozen=True)
+class Breakpoints:
+    """m[i-1] = first level at which cumulative openings from i reach one."""
+
+    m: tuple[int, ...]
+
+
+def breakpoints(y_frac: Sequence[Fraction]) -> Breakpoints:
+    """For each category i, the level m_i with cum(y, i..m_i-1) < 1 <= cum(y, i..m_i)."""
+    levels = len(y_frac)
+    if levels == 0 or y_frac[-1] != 1:
+        raise NoBreakpoint("breakpoints need y(L) = 1")
+    return Breakpoints(tuple(_first_reach(y_frac, i) for i in range(1, levels + 1)))
 
 
 def reconstruct_choices(
@@ -381,14 +399,15 @@ def lp_vertex_enumeration(objective, rows) -> tuple[str, Fraction | None]:
     """Reference optimum for tiny LPs (min c.x, x >= 0) by enumerating basic
     solutions: every n-subset of {constraint hyperplanes + coordinate planes}.
 
-    Returns (status, value) with status in {"optimal", "infeasible",
-    "unbounded_or_infeasible"}: vertex enumeration alone cannot separate the
-    last two, so callers pair it with boundedness knowledge.
+    Rows are sparse ({column: coefficient}, relation, rhs), as the solver
+    takes them; they are expanded to dense lists here. Returns (status,
+    value) with status "optimal" or "infeasible_or_no_vertex": vertex
+    enumeration alone cannot separate an infeasible program from one without
+    a vertex, so callers pair it with boundedness knowledge.
     """
     n = len(objective)
-    planes = []
-    for coeffs, _rel, rhs in rows:
-        planes.append((list(coeffs), rhs))
+    rows = [([coeffs.get(j, ZERO) for j in range(n)], rel, rhs) for coeffs, rel, rhs in rows]
+    planes = [(coeffs, rhs) for coeffs, _rel, rhs in rows]
     for j in range(n):
         unit = [ZERO] * n
         unit[j] = Fraction(1)

@@ -387,6 +387,13 @@ def test_solve_demands_as_a_list_exits_2(tmp_path, capsys, geo_doc):
     assert_refused(code, stdout, err, 2, "cannot read instance:")
 
 
+def test_solve_missing_key_is_named(tmp_path, capsys, geo_doc):
+    del geo_doc["data_centers"]
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert_refused(code, stdout, err, 2, "cannot read instance: missing key 'data_centers'")
+
+
 def test_solve_top_level_array_exits_2(tmp_path, capsys, geo_doc):
     path = write_doc(tmp_path, [geo_doc])
     code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
@@ -468,6 +475,13 @@ def test_convert_from_ragged_uflp_exits_2(tmp_path, capsys):
     path = write_doc(tmp_path, uflp)
     code, stdout, err = run(capsys, "convert", "--from-uflp", path, "--out", out)
     assert_refused(code, stdout, err, 2, "cannot read UFLP file:")
+
+
+def test_convert_from_uflp_missing_key_is_named(tmp_path, capsys):
+    path = write_doc(tmp_path, {"facilities": [{"id": "a", "open_cost": "1"}], "clients": ["c1"]})
+    out = str(tmp_path / "market.json")
+    code, stdout, err = run(capsys, "convert", "--from-uflp", path, "--out", out)
+    assert_refused(code, stdout, err, 2, "cannot read UFLP file: missing key 'connection'")
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from datamarket import lp as lp_module
-from datamarket.lp import EQ, GE, LE, DimensionMismatch, LinearProgram, _Tableau, lp_solve
+from datamarket.lp import EQ, GE, LE, LinearProgram, _Tableau, lp_solve
 from datamarket.single_dc import category_relaxation_lp, reduced_open_levels_lp
 from oracles import DenseTableau, lp_vertex_enumeration
 
@@ -15,12 +15,18 @@ ONE = F(1)
 ZERO = F(0)
 
 
-def lp(objective, rows, upper=None):
+def lp(objective, rows):
+    """A LinearProgram from dense literals: each row keeps its nonzeros."""
     return LinearProgram(
         tuple(F(c) for c in objective),
-        tuple((tuple(F(a) for a in coeffs), rel, F(b)) for coeffs, rel, b in rows),
-        None if upper is None else tuple(None if u is None else F(u) for u in upper),
+        tuple(({j: F(a) for j, a in enumerate(coeffs) if a}, rel, F(b)) for coeffs, rel, b in rows),
     )
+
+
+def upper_bound_rows(upper):
+    """x_j <= u for each bounded column, as dense literals."""
+    n = len(upper)
+    return [([int(k == j) for k in range(n)], LE, u) for j, u in enumerate(upper) if u is not None]
 
 
 def test_minimize_with_lower_constraint():
@@ -28,7 +34,6 @@ def test_minimize_with_lower_constraint():
     assert sol.status == "optimal"
     assert sol.values == (ONE,)
     assert sol.objective_value == 1
-    assert sol.is_extreme_point
 
 
 def test_maximize_via_negation():
@@ -62,14 +67,15 @@ def test_zero_rows_dropped_and_constant_infeasibility():
 
 
 def test_upper_bounds():
-    sol = lp_solve(lp([-1, -1], [([1, 2], LE, 10)], upper=[2, None]))
+    sol = lp_solve(lp([-1, -1], [([1, 2], LE, 10)] + upper_bound_rows([2, None])))
     assert sol.status == "optimal"
     assert sol.values == (F(2), F(4))
 
 
-def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        lp_solve(lp([1, 2], [([1], LE, 1)]))
+def test_out_of_range_column_is_refused():
+    for column in (2, -1):
+        with pytest.raises(ValueError, match="column index outside 0..1"):
+            lp_solve(LinearProgram((ONE, F(2)), (({0: ONE, column: ONE}, LE, ONE),)))
 
 
 def test_fractional_data_exactness():
@@ -234,7 +240,7 @@ def random_sparse_lp(rng):
         rows.append(([a * scale for a in coeffs], EQ, rhs * scale))
     objective = [coeff(0.3) for _ in range(n)]
     upper = [None if rng.random() < 0.4 else F(rng.randint(4, 9)) for _ in range(n)]
-    return lp(objective, rows, upper)
+    return lp(objective, rows + upper_bound_rows(upper))
 
 
 def random_category_lp(rng, levels=16):

@@ -6,6 +6,9 @@ algorithm's total in the predictable way.
   (the baselines that break ties by data-center order may differ).
 - Multiplying every fee, operation cost and execution cost by an integer k
   multiplies every total by k.
+- Adding a data center never raises the optimum, and raising one level's
+  fee (a per-query fee kept strictly below the next level's) never lowers
+  it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pytest
 
 from datamarket.cli import ALGORITHMS, run_algorithm
 from datamarket.datum import DatumConfig
-from datamarket.model import MarketInstance, QualityLevel
+from datamarket.model import DataCenter, MarketInstance, QualityLevel, validate_instance
 from oracles import random_market
 
 CONFIG = DatumConfig()
@@ -92,6 +95,47 @@ def scale_money(instance, k):
     )
 
 
+def add_data_center(instance, rng):
+    """One more data center, with random operation and execution costs that
+    do not vary by level, like the rest of the market."""
+    providers = tuple(
+        replace(p, oper_cost=p.oper_cost + ((Fraction(rng.randint(0, 12)),) * p.num_levels,))
+        for p in instance.providers
+    )
+    levels = {p.id: p.num_levels for p in instance.providers}
+    alpha = tuple(
+        (pid, tensor + (tuple((Fraction(rng.randint(0, 9)),) * levels[pid] for _ in instance.clients),))
+        for pid, tensor in instance.exec_cost.alpha
+    )
+    data_center = DataCenter(id=f"dc{len(instance.data_centers) + 1}")
+    return replace(
+        instance,
+        providers=providers,
+        data_centers=instance.data_centers + (data_center,),
+        exec_cost=replace(instance.exec_cost, alpha=alpha),
+    )
+
+
+def raise_fee(instance, rng):
+    """One level's contracted fee raised: a per-query fee to a point strictly
+    between it and the next level's fee (the top level's by up to 5), a bulk
+    fee by 1 to 5."""
+    pi = rng.randrange(len(instance.providers))
+    p = instance.providers[pi]
+    k = rng.randrange(p.num_levels)
+    q = p.levels[k]
+    if instance.contracting == "bulk":
+        q = replace(q, bulk_fee=q.bulk_fee + rng.randint(1, 5))
+    else:
+        ceiling = p.levels[k + 1].per_query_fee if k + 1 < p.num_levels else q.per_query_fee + 5
+        step = (ceiling - q.per_query_fee) * Fraction(rng.randint(1, 9), 10)
+        q = replace(q, per_query_fee=q.per_query_fee + step)
+    levels = p.levels[:k] + (q,) + p.levels[k + 1:]
+    providers = list(instance.providers)
+    providers[pi] = replace(p, levels=levels)
+    return replace(instance, providers=tuple(providers))
+
+
 def shuffled(rng, n):
     order = list(range(n))
     rng.shuffle(order)
@@ -126,3 +170,19 @@ def test_scaling_money_by_k_scales_every_total(k):
     for instance in markets(11, 30):
         want = {a: k * total for a, total in totals(instance).items()}
         assert totals(scale_money(instance, k)) == want
+
+
+def test_adding_a_data_center_never_raises_the_optimum():
+    rng = random.Random(47)
+    for instance in markets(13, 40):
+        grown = add_data_center(instance, rng)
+        assert validate_instance(grown).ok
+        assert totals(grown, ("optcost",))["optcost"] <= totals(instance, ("optcost",))["optcost"]
+
+
+def test_raising_a_fee_never_lowers_the_optimum():
+    rng = random.Random(53)
+    for instance in markets(17, 40):
+        dearer = raise_fee(instance, rng)
+        assert validate_instance(dearer).ok
+        assert totals(dearer, ("optcost",))["optcost"] >= totals(instance, ("optcost",))["optcost"]
