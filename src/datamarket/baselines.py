@@ -41,6 +41,8 @@ from datamarket.numeric import MICROS, format_money, to_micros, to_rational
 ZERO = Fraction(0)
 
 BUDGET_ENV = "DATUM_BUDGET"
+# Candidate supports a provider's search may enumerate, unless BUDGET_ENV is set.
+DEFAULT_BUDGET = 2**20
 
 
 class OversizeInstance(DatamarketError):
@@ -50,14 +52,16 @@ class OversizeInstance(DatamarketError):
     template = "instance too large for exhaustive search: {}"
 
 
-@dataclass(frozen=True)
-class ExhaustiveBudget:
-    max_supports: int = 2**20
-
-    @staticmethod
-    def from_env() -> "ExhaustiveBudget":
-        raw = os.environ.get(BUDGET_ENV)
-        return ExhaustiveBudget(int(raw)) if raw else ExhaustiveBudget()
+def _support_budget() -> int:
+    """BUDGET_ENV if it is set, else DEFAULT_BUDGET; a value that is not a
+    positive integer is refused (exit 2)."""
+    raw = os.environ.get(BUDGET_ENV)
+    if not raw:
+        return DEFAULT_BUDGET
+    budget = int(raw) if raw.isascii() and raw.isdigit() else 0
+    if budget < 1:
+        raise DatamarketError(f"invalid {BUDGET_ENV}: {raw!r} is not a positive integer")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,7 @@ class UflpInstance:
         return tuple(tuple(m if v is None else v for v in row) for row in self.connection)
 
 
-def _search_provider(
-    sub: ProviderSubproblem, minimize_band_only: bool, budget: ExhaustiveBudget
-) -> Plan:
+def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: int) -> Plan:
     """Exact per-provider support search.
 
     Enumerates subsets of (data center, level) items depth-first, pruning any
@@ -99,10 +101,10 @@ def _search_provider(
     All costs are int micro-units.
     """
     num_items = sub.num_dcs * sub.num_levels
-    if 2**num_items > budget.max_supports:
+    if 2**num_items > budget:
         raise OversizeInstance(
             f"provider {sub.provider_id}: needs 2^{num_items} supports,"
-            f" budget allows {budget.max_supports} (set {BUDGET_ENV} to raise)"
+            f" budget allows {budget} (set {BUDGET_ENV} to raise)"
         )
     items = [(d, l) for d in range(sub.num_dcs) for l in range(1, sub.num_levels + 1)]
     beta_of = [sub.beta[d][l - 1] for d, l in items]
@@ -181,8 +183,8 @@ def _cheapest_homes(sub: ProviderSubproblem) -> dict[int, int]:
     }
 
 
-def _exhaustive(instance: MarketInstance, minimize_band_only: bool, budget: ExhaustiveBudget | None):
-    budget = budget or ExhaustiveBudget.from_env()
+def _exhaustive(instance: MarketInstance, minimize_band_only: bool):
+    budget = _support_budget()
     plan = Plan.union(
         _search_provider(sub, minimize_band_only, budget)
         for sub in split_by_provider(instance)
@@ -191,21 +193,17 @@ def _exhaustive(instance: MarketInstance, minimize_band_only: bool, budget: Exha
     return plan, evaluate_cost(instance, plan)
 
 
-def opt_cost(
-    instance: MarketInstance, budget: ExhaustiveBudget | None = None
-) -> tuple[Plan, CostBreakdown]:
+def opt_cost(instance: MarketInstance) -> tuple[Plan, CostBreakdown]:
     """Exact total-cost optimum by pruned support enumeration per provider."""
-    return _exhaustive(instance, minimize_band_only=False, budget=budget)
+    return _exhaustive(instance, minimize_band_only=False)
 
 
-def opt_band(
-    instance: MarketInstance, budget: ExhaustiveBudget | None = None
-) -> tuple[Plan, CostBreakdown]:
+def opt_band(instance: MarketInstance) -> tuple[Plan, CostBreakdown]:
     """Exact bandwidth-only optimum (operation + execution cost); the
     returned breakdown still prices the chosen plan in full, purchasing
     included. Assignment ties go to the lowest feasible level, then the
     lowest data-center id."""
-    return _exhaustive(instance, minimize_band_only=True, budget=budget)
+    return _exhaustive(instance, minimize_band_only=True)
 
 
 def nearest_dc(instance: MarketInstance) -> tuple[Plan, CostBreakdown]:

@@ -10,8 +10,8 @@ keys, fixed decimal formatting), so rows from different algorithms on the
 same instance carry identical fingerprints. Compare/sweep output is
 byte-deterministic for fixed flags; wall-clock timings are therefore left
 empty unless --timings is passed (solve always reports real wall time).
-The DATUM_BUDGET environment variable overrides the exhaustive baselines'
-support budget.
+The DATUM_BUDGET environment variable, a positive integer, overrides the
+exhaustive baselines' support budget.
 
 Errors have one boundary. A refused input or request raises a
 DatamarketError, which carries its exit code: main prints its one-line
@@ -28,7 +28,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from datamarket.baselines import (
@@ -63,7 +63,6 @@ EXIT_INVALID_INSTANCE = 2
 ALGORITHMS = ("datum", "optcost", "optband", "nearestdc", "single-dc")
 
 CSV_HEADER = "seed,algorithm,oper,exec,purch,total,runtime_ms,fingerprint,error"
-SWEEP_HEADER = "knob,target," + CSV_HEADER
 
 # What reading missing or malformed outside input raises: an unreadable
 # file, a wrong value, a wrong JSON type where a list, dict or number
@@ -87,22 +86,6 @@ def _refusing(prefix: str):
     except MALFORMED as exc:
         reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
         raise DatamarketError(f"{prefix}: {reason}") from exc
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    seed: str
-    algorithm: str
-    config: str
-    oper: str
-    exec: str
-    purch: str
-    total: str
-    runtime_ms: int
-    fingerprint: str
-
-    def json_line(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 def fingerprint(instance: MarketInstance) -> str:
@@ -145,7 +128,18 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rate", default="1", help="cost per gigameter of distance")
     parser.add_argument("--ratio-bf", type=float, default=-0.5, help="target log10((alpha+beta)/f)")
     parser.add_argument("--ratio-ie", type=float, default=-1.0, help="target log10(alpha/(beta+f))")
-    parser.add_argument("--max-replicas", type=int, default=2)
+
+
+def _add_datum_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-replicas", type=int, default=DatumConfig.max_replicas)
+    parser.add_argument("--mu1", default=DatumConfig.mu1)
+    parser.add_argument("--mu2", default=DatumConfig.mu2)
+
+
+def _add_table_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seeds", required=True, help="comma-separated seed list")
+    parser.add_argument("--algorithms", default="datum,optcost,optband,nearestdc")
+    parser.add_argument("--timings", action="store_true", help="fill runtime_ms (breaks byte determinism)")
 
 
 def _scenario_params(args, seed: int) -> ScenarioParams:
@@ -162,7 +156,6 @@ def _scenario_params(args, seed: int) -> ScenarioParams:
         rate_per_gigameter=args.rate,
         ratio_band_to_fee=args.ratio_bf,
         ratio_internal_to_external=args.ratio_ie,
-        max_replicas=args.max_replicas,
     )
 
 
@@ -171,10 +164,12 @@ def _datum_config(args) -> DatumConfig:
     mu = {}
     for name in ("mu1", "mu2"):
         with _refusing(f"invalid --{name}"):
-            mu[name] = to_rational(getattr(args, name, "0"))
+            mu[name] = to_rational(getattr(args, name))
             if mu[name] < 0:
                 raise ValueError("must be nonnegative")
-    return DatumConfig(max_replicas=getattr(args, "max_replicas", 2), **mu)
+    if args.max_replicas < 1:
+        raise DatamarketError("invalid --max-replicas: must be at least 1")
+    return DatumConfig(max_replicas=args.max_replicas, **mu)
 
 
 def _generate(params: ScenarioParams) -> MarketInstance:
@@ -217,35 +212,49 @@ def cmd_solve(args) -> int:
     with open(plan_path, "w", encoding="utf-8") as fh:
         json.dump(plan_to_json(plan), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    record = RunRecord(
-        seed="-",
-        algorithm=args.algorithm,
-        config=f"max_replicas={config.max_replicas},mu1={config.mu1},mu2={config.mu2}",
-        oper=format_money(breakdown.oper),
-        exec=format_money(breakdown.exec),
-        purch=format_money(breakdown.purch),
-        total=format_money(breakdown.total),
-        runtime_ms=elapsed_ms,
-        fingerprint=fingerprint(instance),
-    )
-    print(record.json_line())
+    record = {
+        "seed": "-",
+        "algorithm": args.algorithm,
+        "config": f"max_replicas={config.max_replicas},mu1={config.mu1},mu2={config.mu2}",
+        **breakdown.to_json(),
+        "runtime_ms": elapsed_ms,
+        "fingerprint": fingerprint(instance),
+    }
+    print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 
 
-def _csv_rows_for_instance(instance, seeds_label, algorithms, config, timings):
-    mark = fingerprint(instance)
+def _write_table(
+    header: str, runs, algorithms: list[str], config: DatumConfig, timings: bool
+) -> int:
+    """Solve each (row prefix, scenario) run with every algorithm; once every
+    row exists, print the CSV on stdout and each algorithm's mean total over
+    its solved rows on stderr."""
     rows = []
-    for name in sorted(algorithms):
-        started = time.perf_counter()
-        try:
-            _, cost = run_algorithm(instance, name, config)
-        except DatamarketError as exc:
-            rows.append((seeds_label, name, "", "", "", "", "", mark, str(exc).replace(",", ";"), None))
-            continue
-        elapsed = str(int((time.perf_counter() - started) * 1000)) if timings else ""
-        money = map(format_money, (cost.oper, cost.exec, cost.purch, cost.total))
-        rows.append((seeds_label, name, *money, elapsed, mark, "", cost.total))
-    return rows
+    totals: dict[str, list[Fraction]] = {}
+    for prefix, params in runs:
+        instance = _generate(params)
+        mark = fingerprint(instance)
+        for name in sorted(algorithms):
+            started = time.perf_counter()
+            try:
+                _, cost = run_algorithm(instance, name, config)
+            except DatamarketError as exc:
+                reason = str(exc).replace(",", ";")
+                rows.append(f"{prefix}{params.seed},{name},,,,,,{mark},{reason}")
+                continue
+            elapsed = str(int((time.perf_counter() - started) * 1000)) if timings else ""
+            money = ",".join(cost.to_json().values())
+            rows.append(f"{prefix}{params.seed},{name},{money},{elapsed},{mark},")
+            totals.setdefault(name, []).append(cost.total)
+    print(header)
+    for row in rows:
+        print(row)
+    print("algorithm,mean_total,runs", file=sys.stderr)
+    for name in sorted(totals):
+        mean = sum(totals[name], Fraction(0)) / len(totals[name])
+        print(f"{name},{format_money(quantize(mean))},{len(totals[name])}", file=sys.stderr)
+    return EXIT_OK
 
 
 def _parse_seeds(raw: str) -> list[int]:
@@ -264,56 +273,24 @@ def _parse_algorithms(raw: str) -> list[str]:
 def cmd_compare(args) -> int:
     algorithms = _parse_algorithms(args.algorithms)
     config = _datum_config(args)
-    rows = []
-    for seed in _parse_seeds(args.seeds):
-        instance = _generate(_scenario_params(args, seed))
-        rows.extend(
-            _csv_rows_for_instance(instance, str(seed), algorithms, config, args.timings)
-        )
-    print(CSV_HEADER)
-    for row in rows:
-        print(",".join(row[:-1]))
-    _print_summary(rows, file=sys.stderr)
-    return EXIT_OK
-
-
-def _print_summary(rows, file) -> None:
-    by_algorithm: dict[str, list[Fraction]] = {}
-    for row in rows:
-        if row[-1] is not None:
-            by_algorithm.setdefault(row[1], []).append(row[-1])
-    print("algorithm,mean_total,runs", file=file)
-    for name in sorted(by_algorithm):
-        totals = by_algorithm[name]
-        mean = sum(totals, Fraction(0)) / len(totals)
-        print(f"{name},{format_money(quantize(mean))},{len(totals)}", file=file)
+    runs = [("", _scenario_params(args, seed)) for seed in _parse_seeds(args.seeds)]
+    return _write_table(CSV_HEADER, runs, algorithms, config, args.timings)
 
 
 def cmd_sweep(args) -> int:
     algorithms = _parse_algorithms(args.algorithms)
     config = _datum_config(args)
-    base = _scenario_params(args, 0)
     with _refusing("invalid sweep"):
-        points = sweep_params(base, args.knob, args.start, args.stop, args.steps)
-    seeds = _parse_seeds(args.seeds)
-    rows = []
-    for point in points:
-        target = (
-            point.ratio_band_to_fee
-            if args.knob == "band_to_fee"
-            else point.ratio_internal_to_external
+        points = sweep_params(
+            _scenario_params(args, 0), args.knob, args.start, args.stop, args.steps
         )
-        for seed in seeds:
-            instance = _generate(replace(point, seed=seed))
-            for row in _csv_rows_for_instance(
-                instance, str(seed), algorithms, config, args.timings
-            ):
-                rows.append((args.knob, f"{target:g}") + row)
-    print(SWEEP_HEADER)
-    for row in rows:
-        print(",".join(row[:-1]))
-    _print_summary([row[2:] for row in rows], file=sys.stderr)
-    return EXIT_OK
+    seeds = _parse_seeds(args.seeds)
+    runs = [
+        (f"{args.knob},{getattr(point, 'ratio_' + args.knob):g},", replace(point, seed=seed))
+        for point in points
+        for seed in seeds
+    ]
+    return _write_table("knob,target," + CSV_HEADER, runs, algorithms, config, args.timings)
 
 
 def cmd_convert(args) -> int:
@@ -358,17 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--algorithm", required=True)
     p_solve.add_argument("--plan-out", default=None)
-    p_solve.add_argument("--max-replicas", type=int, default=2)
-    p_solve.add_argument("--mu1", default="0")
-    p_solve.add_argument("--mu2", default="0")
+    _add_datum_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_cmp = sub.add_parser("compare", help="algorithms x seeds on generated instances, CSV")
-    p_cmp.add_argument("--seeds", required=True, help="comma-separated seed list")
-    p_cmp.add_argument("--algorithms", default="datum,optcost,optband,nearestdc")
-    p_cmp.add_argument("--mu1", default="0")
-    p_cmp.add_argument("--mu2", default="0")
-    p_cmp.add_argument("--timings", action="store_true", help="fill runtime_ms (breaks byte determinism)")
+    _add_table_flags(p_cmp)
+    _add_datum_flags(p_cmp)
     _add_scenario_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -377,11 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--seeds", required=True)
-    p_sweep.add_argument("--algorithms", default="datum,optcost,optband,nearestdc")
-    p_sweep.add_argument("--mu1", default="0")
-    p_sweep.add_argument("--mu2", default="0")
-    p_sweep.add_argument("--timings", action="store_true")
+    _add_table_flags(p_sweep)
+    _add_datum_flags(p_sweep)
     _add_scenario_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -270,13 +271,14 @@ def exec_cost_value(
 
 
 def min_level_index(provider: Provider, required_quality: Fraction) -> int:
-    """Smallest level index whose quality meets the requirement."""
-    for lvl in provider.levels:
-        if lvl.quality >= required_quality:
-            return lvl.index
-    raise UnsatisfiableDemand(
-        f"provider {provider.id}: no level reaches quality {required_quality}"
-    )
+    """Smallest level index whose quality meets the requirement, by binary
+    search over the strictly increasing qualities validate_instance checks."""
+    k = bisect_left(provider.levels, required_quality, key=lambda lvl: lvl.quality)
+    if k == len(provider.levels):
+        raise UnsatisfiableDemand(
+            f"provider {provider.id}: no level reaches quality {required_quality}"
+        )
+    return provider.levels[k].index
 
 
 def validate_instance(instance: MarketInstance) -> ValidationReport:

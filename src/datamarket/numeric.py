@@ -86,19 +86,19 @@ def quantize(value: Fraction | float) -> Fraction:
     return Fraction(floor, 10**QUANTUM_PLACES)
 
 
-def format_money(value: Fraction, places: int = QUANTUM_PLACES) -> str:
-    """Render a rational as a fixed-place decimal string.
+def format_money(value: Fraction) -> str:
+    """Render a rational as a 6-place decimal string.
 
-    Values are expected to be multiples of 10^-places (all costs in this
-    package are); anything finer is quantized first.
+    Values are expected to be multiples of 1e-6 (all costs in this package
+    are); anything finer is quantized first.
     """
-    scaled = value * 10**places
+    scaled = value * MICROS
     if scaled.denominator != 1:
-        scaled = quantize(value) * 10**places
+        scaled = quantize(value) * MICROS
     units = int(scaled)
     sign = "-" if units < 0 else ""
     units = abs(units)
-    return f"{sign}{units // 10**places}.{units % 10**places:0{places}d}"
+    return f"{sign}{units // MICROS}.{units % MICROS:0{QUANTUM_PLACES}d}"
 
 
 def haversine_gigameters(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

@@ -64,7 +64,6 @@ class ScenarioParams:
     rate_per_gigameter: str | Fraction = "1"
     ratio_band_to_fee: float = -0.5  # target log10((alpha+beta)/f)
     ratio_internal_to_external: float = -1.0  # target log10(alpha/(beta+f))
-    max_replicas: int = 2
 
     def demand_probability(self) -> float:
         avg = self.avg_providers_per_client
@@ -95,7 +94,7 @@ class ScenarioParams:
                 ) from None
         if not 1 <= self.num_data_centers <= len(DC_STATES):
             raise DatamarketError(f"num_data_centers must be in 1..{len(DC_STATES)}")
-        for name in ("num_providers", "num_clients", "levels_per_provider", "max_replicas"):
+        for name in ("num_providers", "num_clients", "levels_per_provider"):
             if getattr(self, name) < 1:
                 raise DatamarketError(f"{name} must be positive")
         if not 0 < self.demand_probability() <= 1:

@@ -26,11 +26,12 @@ from datamarket.model import (
     CostBreakdown,
     MarketInstance,
     Plan,
+    Provider,
     ProviderSubproblem,
     QualityLevel,
+    UnsatisfiableDemand,
     check_plan,
     exec_cost_value,
-    min_level_index,
 )
 from datamarket.numeric import haversine_gigameters, quantize, to_micros
 from datamarket.single_dc import NoBreakpoint, _first_reach
@@ -58,6 +59,17 @@ def plan_from_json(doc: dict) -> Plan:
         assignments=frozenset(
             (pid, cid, dc, int(lvl)) for pid, cid, dc, lvl in doc["assignments"]
         ),
+    )
+
+
+def min_level_scan(provider: Provider, required_quality: Fraction) -> int:
+    """Smallest level index whose quality meets the requirement, by a scan
+    from the lowest level."""
+    for lvl in provider.levels:
+        if lvl.quality >= required_quality:
+            return lvl.index
+    raise UnsatisfiableDemand(
+        f"provider {provider.id}: no level reaches quality {required_quality}"
     )
 
 
@@ -314,7 +326,7 @@ def market_enumeration(instance: MarketInstance) -> Fraction | None:
         for ci, c in enumerate(instance.clients):
             for pid, w in c.demands:
                 if pid == p.id:
-                    members.append((ci, min_level_index(p, w)))
+                    members.append((ci, min_level_scan(p, w)))
         items = [
             (d, l)
             for d in range(len(instance.data_centers))

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import build_instance
 from datamarket.baselines import (
-    ExhaustiveBudget,
     OversizeInstance,
     from_uflp,
     nearest_dc,
@@ -177,12 +176,13 @@ def test_nearest_dc_never_beats_opt_cost():
         assert near.total >= best.total
 
 
-def test_oversize_budget():
+def test_oversize_budget(monkeypatch):
     inst = build_instance(
         beta=[[1, 1]] * 3, fees=[1, 2], demands=[1], alpha=[[0, 0]] * 3
     )
+    monkeypatch.setenv("DATUM_BUDGET", str(2**5))
     with pytest.raises(OversizeInstance):
-        opt_cost(inst, ExhaustiveBudget(max_supports=2**5))
+        opt_cost(inst)
 
 
 def test_to_uflp_instance_a(instance_a):

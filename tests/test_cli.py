@@ -333,6 +333,24 @@ def test_compare_sweep_bytes_pinned(capsys, name):
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
+# sha256 of the stderr summary (algorithm,mean_total,runs) of the same runs.
+PINNED_SUMMARY = {
+    "compare_all_one_dc": "d18434f7e3e0a5e084e42aa6cfe7f9b7d6ae77e86fa287e7693e52d3b45c19d4",
+    "compare_default_geo": "62f0472941f11a0e9259c6c90c432bc133e2a94cbe4430cb8b4f03241fb9f984",
+    "compare_mu_geo": "8ed612ab39e68e7697b16b4c1ed888cffe6d4971e0b0480aa7c0a7897a8d1e3d",
+    "sweep_band_to_fee": "6bd086ecb51b703ae9c9b546b4e2d0107bde6049c08c2fc536ba07493d94570d",
+    "sweep_internal_to_external": "4ede4b1f043f8cea4c98c726988d07c68b125c6f2a698e180a3298d67f3797c7",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SUMMARY))
+def test_compare_sweep_summary_pinned(capsys, name):
+    argv, _ = PINNED_OUTPUT[name]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(stderr.encode()).hexdigest() == PINNED_SUMMARY[name]
+
+
 # --- refusals: each ends with its exit code and a one-line reason ----------
 
 SMALL_GEO = (
@@ -448,6 +466,64 @@ def test_solve_without_data_centers_exits_2(tmp_path, capsys, geo_doc):
 def test_compare_bad_seeds_exits_2(capsys):
     code, stdout, err = run(capsys, "compare", "--seeds", "a", *SMALL_GEO)
     assert_refused(code, stdout, err, 2, "invalid --seeds:")
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_solve_bad_budget_exits_2(tmp_path, capsys, monkeypatch, instance_g, raw):
+    monkeypatch.setenv("DATUM_BUDGET", raw)
+    path = write_instance(tmp_path, instance_g)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "optcost")
+    assert_refused(code, stdout, err, 2, f"invalid DATUM_BUDGET: {raw!r} is not a positive integer")
+
+
+def test_compare_bad_budget_fills_the_exhaustive_rows(capsys, monkeypatch):
+    monkeypatch.setenv("DATUM_BUDGET", "abc")
+    code, stdout, err = run(capsys, "compare", *COMPARE_FLAGS)
+    assert code == 0 and "Traceback" not in err
+    header, *lines = stdout.strip().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 2 * 4
+    for row in rows:
+        if row["algorithm"] in ("optcost", "optband"):
+            assert row["total"] == ""
+            assert row["error"] == "invalid DATUM_BUDGET: 'abc' is not a positive integer"
+        else:
+            assert row["error"] == "" and row["total"]
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "sweep"])
+def test_max_replicas_below_one_exits_2(tmp_path, capsys, instance_g, command):
+    argv = {
+        "solve": ("solve", "--instance", write_instance(tmp_path, instance_g),
+                  "--algorithm", "optcost"),
+        "compare": ("compare", "--seeds", "1", *SMALL_GEO),
+        "sweep": ("sweep", "--knob", "band_to_fee", "--from", "-1", "--to", "1", "--steps", "2",
+                  "--seeds", "1", *SMALL_GEO),
+    }[command]
+    for raw in ("0", "-1"):
+        code, stdout, err = run(capsys, *argv, "--max-replicas", raw)
+        assert_refused(code, stdout, err, 2, "invalid --max-replicas: must be at least 1")
+
+
+def test_max_replicas_above_the_data_centers_means_all(tmp_path, capsys, geo_doc):
+    path = write_doc(tmp_path, geo_doc)
+    records = []
+    for raw in ("2", "7"):
+        code, stdout, _ = run(
+            capsys, "solve", "--instance", path, "--algorithm", "datum", "--max-replicas", raw
+        )
+        assert code == 0
+        records.append(json.loads(stdout)["total"])
+    assert records[0] == records[1]
+
+
+def test_generate_has_no_max_replicas(tmp_path, capsys):
+    out = tmp_path / "unused.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--seed", "1", "--out", str(out), "--max-replicas", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-replicas 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys, instance_g):

@@ -14,6 +14,8 @@ from datamarket.model import (
     ExecCostModel,
     InfeasiblePlan,
     Plan,
+    Provider,
+    QualityLevel,
     UnsatisfiableDemand,
     evaluate_cost,
     exec_cost_value,
@@ -40,6 +42,7 @@ from oracles import (
     empty_plan,
     evaluate_cost_oracle,
     market_enumeration,
+    min_level_scan,
     plan_from_json,
     random_market,
     served_level,
@@ -92,6 +95,33 @@ def test_split_unsatisfiable():
     provider = build_instance(beta=[[1]], fees=[1], demands=[1], alpha=[[0]]).providers[0]
     with pytest.raises(UnsatisfiableDemand):
         min_level_index(provider, F(2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    qualities=st.lists(
+        st.fractions(min_value=F(1, 1000), max_value=100, max_denominator=1000),
+        min_size=1, max_size=10, unique=True,
+    ).map(sorted)
+)
+def test_min_level_index_matches_linear_scan(qualities):
+    provider = Provider(
+        id="p1",
+        levels=tuple(
+            QualityLevel(index=k + 1, quality=q, per_query_fee=F(k)) for k, q in enumerate(qualities)
+        ),
+        oper_cost=((F(0),) * len(qualities),),
+    )
+    below = [F(0), *qualities[:-1]]
+    between = [(a + b) / 2 for a, b in zip(below, qualities)]
+    for demand in (*qualities, *between):
+        assert min_level_index(provider, demand) == min_level_scan(provider, demand)
+    above = qualities[-1] + F(1, 1000)
+    with pytest.raises(UnsatisfiableDemand) as fast:
+        min_level_index(provider, above)
+    with pytest.raises(UnsatisfiableDemand) as scan:
+        min_level_scan(provider, above)
+    assert str(fast.value) == str(scan.value)
 
 
 def test_split_empty_provider(instance_g):
