@@ -117,7 +117,7 @@ def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: 
 
     def assign_cost(k: int, c: int) -> int:
         d, l = items[k]
-        return sub.alpha[d][c][l - 1] + fee_of[l - 1]
+        return sub.alpha[l - 1][d][c] + fee_of[l - 1]
 
     # Each client's usable items with their assignment costs, best first
     # (cheapest, then lowest level, then lowest data-center index).
@@ -239,7 +239,7 @@ def to_uflp(sub: ProviderSubproblem) -> UflpInstance:
             open_costs.append(Fraction(sub.beta[d][l - 1], MICROS))
             connection.append(
                 tuple(
-                    sub.fee(l) + Fraction(sub.alpha[d][c][l - 1], MICROS)
+                    sub.fee(l) + Fraction(sub.alpha[l - 1][d][c], MICROS)
                     if l >= sub.min_levels[c]
                     else None
                     for c in range(len(sub.client_ids))

@@ -208,6 +208,7 @@ def cmd_solve(args) -> int:
     plan, breakdown = run_algorithm(instance, args.algorithm, config)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
+    cap = min(config.max_replicas, len(instance.data_centers))  # the cap Datum used
     plan_path = args.plan_out or (args.instance.removesuffix(".json") + ".plan.json")
     with open(plan_path, "w", encoding="utf-8") as fh:
         json.dump(plan_to_json(plan), fh, indent=2, sort_keys=True)
@@ -215,7 +216,7 @@ def cmd_solve(args) -> int:
     record = {
         "seed": "-",
         "algorithm": args.algorithm,
-        "config": f"max_replicas={config.max_replicas},mu1={config.mu1},mu2={config.mu2}",
+        "config": f"max_replicas={cap},mu1={config.mu1},mu2={config.mu2}",
         **breakdown.to_json(),
         "runtime_ms": elapsed_ms,
         "fingerprint": fingerprint(instance),

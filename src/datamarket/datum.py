@@ -115,7 +115,7 @@ def build_subset_catalog_capped(sub: ProviderSubproblem, max_replicas: int) -> S
         subsets.extend(combinations(range(num_dcs), size))
 
     beta_v = tuple(tuple(map(sum, zip(*(sub.beta[d] for d in v)))) for v in subsets)
-    rows = [tuple(per_level[0] for per_level in per_client) for per_client in sub.alpha]
+    rows = sub.alpha[0]
     alpha_vc = tuple(
         rows[v[0]] if len(v) == 1 else tuple(map(min, *(rows[d] for d in v))) for v in subsets
     )
@@ -199,7 +199,7 @@ def lower_joint_plan(sub: ProviderSubproblem, jp: JointPlan) -> Plan:
     on ties)."""
     subset_of = dict(jp.placements)
     served = [
-        (min(subset_of[level], key=lambda d: (sub.alpha[d][c][level - 1], d)), level)
+        (min(subset_of[level], key=lambda d: (sub.alpha[level - 1][d][c], d)), level)
         for c, level in enumerate(jp.client_levels)
     ]
     placed = ((d, level) for level, subset in jp.placements for d in subset)

@@ -196,14 +196,16 @@ class ProviderSubproblem:
     """The per-provider decoupled view of an instance.
 
     Purchasing/placement decisions do not interact across providers, so each
-    provider is solved on its own: beta[d][l], fees f(l), alpha[d][c][l] for
+    provider is solved on its own: beta[d][l], fees f(l), alpha[l][d][c] for
     only the clients demanding this provider, and each client's demand
     resolved to the smallest feasible level index.
 
     beta and alpha hold int micro-units (numeric.MICROS per unit of money),
     so the solvers add and compare them as plain ints; fees stay Fractions
-    on the levels. Where execution costs do not depend on the level, every
-    level of a (d, c) cell is the same int.
+    on the levels. alpha is level-major: alpha[l - 1] is the
+    data-center-by-client table of level l. Where execution costs do not
+    depend on the level (distance costs, and explicit tensors marked
+    level_independent), every level holds the same table object.
     """
 
     provider_id: str
@@ -212,7 +214,7 @@ class ProviderSubproblem:
     beta: tuple[tuple[int, ...], ...]  # [d][l], micro-units
     client_ids: tuple[str, ...]
     min_levels: tuple[int, ...]  # parallel to client_ids, 1-based
-    alpha: tuple[tuple[tuple[int, ...], ...], ...]  # [d][c][l], micro-units
+    alpha: tuple[tuple[tuple[int, ...], ...], ...]  # [l][d][c], micro-units
     level_independent: bool
     contracting: str
 
@@ -437,58 +439,60 @@ def _validate_exec_model(instance: MarketInstance) -> list[str]:
 def split_by_provider(instance: MarketInstance) -> list[ProviderSubproblem]:
     """Decouple the instance into one independent subproblem per provider.
 
-    Each subproblem carries only the clients demanding that provider, with
-    demands resolved to minimum level indices. Solving the subproblems
-    independently and summing costs solves the joint problem.
+    Each subproblem carries only the clients demanding that provider, in
+    instance order, with demands resolved to minimum level indices once per
+    distinct quality. Solving the subproblems independently and summing
+    costs solves the joint problem.
 
     Each distinct execution cost is converted once: distance costs form one
-    data-center-by-client table shared by every provider and level, and a
-    level-independent explicit tensor is read at its first level only.
+    data-center-by-client table over all clients, and a level-independent
+    explicit tensor is read at its first level only; then every level of a
+    subproblem holds the same table.
     """
+    providers = {p.id: p for p in instance.providers}
+    members: dict[str, list[int]] = {pid: [] for pid in providers}
+    min_levels: dict[str, list[int]] = {pid: [] for pid in providers}
+    level_of: dict[str, dict[Fraction, int]] = {pid: {} for pid in providers}
+    for ci, c in enumerate(instance.clients):
+        for provider_id, w in c.demands:
+            member_idx = members.get(provider_id)
+            if member_idx is None or (member_idx and member_idx[-1] == ci):
+                continue  # not a provider here, or a second demand on it
+            level = level_of[provider_id].get(w)
+            if level is None:
+                level = level_of[provider_id][w] = min_level_index(providers[provider_id], w)
+            member_idx.append(ci)
+            min_levels[provider_id].append(level)
+
     model = instance.exec_cost
     if model.mode == "distance":
         shared = _distance_table(instance)
-        # Per menu length, each (d, c) cost repeated across the levels.
-        by_levels: dict[int, list[list[tuple[int, ...]]]] = {}
     else:
         tensors = model.alpha_map()
+    dc_ids = tuple(d.id for d in instance.data_centers)
     subproblems = []
     for p in instance.providers:
-        client_ids: list[str] = []
-        min_levels: list[int] = []
-        member_idx: list[int] = []
-        for ci, c in enumerate(instance.clients):
-            for provider_id, w in c.demands:
-                if provider_id == p.id:
-                    client_ids.append(c.id)
-                    min_levels.append(min_level_index(p, w))
-                    member_idx.append(ci)
-                    break
-        num_levels = p.num_levels
+        member_idx = members[p.id]
         if model.mode == "distance":
-            if num_levels not in by_levels:
-                by_levels[num_levels] = [[(v,) * num_levels for v in row] for row in shared]
-            alpha = tuple(
-                tuple(row[ci] for ci in member_idx) for row in by_levels[num_levels]
-            )
+            alpha = (tuple(tuple(row[ci] for ci in member_idx) for row in shared),) * p.num_levels
         elif model.level_independent:
-            alpha = tuple(
-                tuple((to_micros(per_client[ci][0]),) * num_levels for ci in member_idx)
-                for per_client in tensors[p.id]
+            table = tuple(
+                tuple(to_micros(row[ci][0]) for ci in member_idx) for row in tensors[p.id]
             )
+            alpha = (table,) * p.num_levels
         else:
             alpha = tuple(
-                tuple(tuple(map(to_micros, per_client[ci])) for ci in member_idx)
-                for per_client in tensors[p.id]
+                tuple(tuple(to_micros(row[ci][l]) for ci in member_idx) for row in tensors[p.id])
+                for l in range(p.num_levels)
             )
         subproblems.append(
             ProviderSubproblem(
                 provider_id=p.id,
                 levels=p.levels,
-                dc_ids=tuple(d.id for d in instance.data_centers),
+                dc_ids=dc_ids,
                 beta=tuple(tuple(map(to_micros, row)) for row in p.oper_cost),
-                client_ids=tuple(client_ids),
-                min_levels=tuple(min_levels),
+                client_ids=tuple(instance.clients[ci].id for ci in member_idx),
+                min_levels=tuple(min_levels[p.id]),
                 alpha=alpha,
                 level_independent=model.level_independent,
                 contracting=instance.contracting,
@@ -667,6 +671,25 @@ def instance_to_json(instance: MarketInstance) -> dict:
     return doc
 
 
+_JSON_KINDS = {list: "a list", dict: "an object"}
+
+
+def _expect(kind: type, value, *path):
+    """value, if it is the JSON list or object (kind list or dict) the schema
+    puts at path; else a TypeError naming the path and the type found."""
+    if not isinstance(value, kind):
+        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path).lstrip(".")
+        raise TypeError(
+            f"{where or 'document'}: expected {_JSON_KINDS[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _entries(kind: type, value, *path) -> list:
+    """The elements of the JSON list at path, each checked to be of kind."""
+    return [_expect(kind, v, *path, i) for i, v in enumerate(_expect(list, value, *path))]
+
+
 def instance_from_json(doc: dict) -> MarketInstance:
     seen: dict[str, Fraction] = {}
 
@@ -679,6 +702,19 @@ def instance_from_json(doc: dict) -> MarketInstance:
             seen[value] = to_rational(value)
         return seen[value]
 
+    def location(node: dict, *path):
+        if "location" not in node:
+            return None
+        return tuple(_expect(list, node["location"], *path, "location"))
+
+    def tensor(pid: str, rows):
+        path = ("exec_cost", "alpha", pid)
+        return tuple(
+            tuple(tuple(map(rational, per_level)) for per_level in _entries(list, row, *path, d))
+            for d, row in enumerate(_entries(list, rows, *path))
+        )
+
+    _expect(dict, doc)
     providers = tuple(
         Provider(
             id=p["id"],
@@ -689,25 +725,31 @@ def instance_from_json(doc: dict) -> MarketInstance:
                     per_query_fee=rational(l["per_query_fee"]),
                     bulk_fee=rational(l["bulk_fee"]) if "bulk_fee" in l else None,
                 )
-                for k, l in enumerate(p["levels"])
+                for k, l in enumerate(_entries(dict, p["levels"], "providers", i, "levels"))
             ),
-            oper_cost=tuple(tuple(rational(v) for v in row) for row in p["oper_cost"]),
+            oper_cost=tuple(
+                tuple(rational(v) for v in row)
+                for row in _entries(list, p["oper_cost"], "providers", i, "oper_cost")
+            ),
         )
-        for p in doc["providers"]
+        for i, p in enumerate(_entries(dict, doc["providers"], "providers"))
     )
     data_centers = tuple(
-        DataCenter(id=d["id"], location=tuple(d["location"]) if "location" in d else None)
-        for d in doc["data_centers"]
+        DataCenter(id=d["id"], location=location(d, "data_centers", i))
+        for i, d in enumerate(_entries(dict, doc["data_centers"], "data_centers"))
     )
     clients = tuple(
         Client(
             id=c["id"],
-            demands=tuple((pid, rational(w)) for pid, w in c["demands"].items()),
-            location=tuple(c["location"]) if "location" in c else None,
+            demands=tuple(
+                (pid, rational(w))
+                for pid, w in _expect(dict, c["demands"], "clients", i, "demands").items()
+            ),
+            location=location(c, "clients", i),
         )
-        for c in doc["clients"]
+        for i, c in enumerate(_entries(dict, doc["clients"], "clients"))
     )
-    ec = doc["exec_cost"]
+    ec = _expect(dict, doc["exec_cost"], "exec_cost")
     if ec["mode"] == "distance":
         exec_cost = ExecCostModel(
             mode="distance",
@@ -715,19 +757,11 @@ def instance_from_json(doc: dict) -> MarketInstance:
             rate_per_gigameter=rational(ec["rate_per_gigameter"]),
         )
     else:
+        tensors = _expect(dict, ec["alpha"], "exec_cost", "alpha")
         exec_cost = ExecCostModel(
             mode="explicit",
             level_independent=bool(ec.get("level_independent", False)),
-            alpha=tuple(
-                (
-                    pid,
-                    tuple(
-                        tuple(tuple(map(rational, per_level)) for per_level in per_client)
-                        for per_client in tensor
-                    ),
-                )
-                for pid, tensor in ec["alpha"].items()
-            ),
+            alpha=tuple((pid, tensor(pid, rows)) for pid, rows in tensors.items()),
         )
     return MarketInstance(
         providers=providers,

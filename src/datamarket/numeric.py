@@ -11,7 +11,9 @@ exact forms:
 - int micro-units (value * MICROS): distance costs, the per-provider cost
   tables of ProviderSubproblem and everything that only adds and compares
   them, namely Datum's subset catalog and Step 2, the exhaustive search and
-  evaluate_cost's execution-cost sum.
+  evaluate_cost's execution-cost sum. A subproblem's execution costs are
+  level-major, one data-center-by-client table per level; where they do not
+  depend on the level, every level shares one table.
 
 to_micros converts from the first form to the second and refuses any value
 that is not a whole number of quanta. Distance costs are rounded once, in

@@ -203,7 +203,7 @@ def make_subproblem(beta_vec, fees, counts, bulk_fees=None, contracting="per_que
         for k in range(count):
             client_ids.append(f"c{i}_{k}")
             min_levels.append(i)
-    alpha = (tuple(tuple(to_micros(ZERO) for _ in fees) for _ in client_ids),)
+    alpha = ((tuple(to_micros(ZERO) for _ in client_ids),),) * len(fees)
     return ProviderSubproblem(
         provider_id="p",
         levels=levels,

@@ -128,7 +128,7 @@ def test_opt_band_minimizes_band_cost():
             ok = True
             for c in range(len(sub.client_ids)):
                 options = [
-                    sub.alpha[d][c][l - 1] for d, l in chosen if l >= sub.min_levels[c]
+                    sub.alpha[l - 1][d][c] for d, l in chosen if l >= sub.min_levels[c]
                 ]
                 if not options:
                     ok = False

@@ -405,6 +405,54 @@ def test_solve_demands_as_a_list_exits_2(tmp_path, capsys, geo_doc):
     assert_refused(code, stdout, err, 2, "cannot read instance:")
 
 
+def _level_as_a_list(doc):
+    level = doc["providers"][0]["levels"][0]
+    doc["providers"][0]["levels"][0] = list(level.values())
+
+
+MISTYPED = [
+    pytest.param(
+        lambda doc: doc["providers"][0].update(levels=5),
+        "providers[0].levels: expected a list, got int",
+        id="levels",
+    ),
+    pytest.param(
+        lambda doc: doc["data_centers"].__setitem__(0, "dc1"),
+        "data_centers[0]: expected an object, got str",
+        id="data-center",
+    ),
+    pytest.param(
+        lambda doc: doc["providers"][0].update(oper_cost=7),
+        "providers[0].oper_cost: expected a list, got int",
+        id="oper-cost",
+    ),
+    pytest.param(
+        lambda doc: doc["clients"][0].update(location=5),
+        "clients[0].location: expected a list, got int",
+        id="location",
+    ),
+    pytest.param(
+        lambda doc: doc.update(exec_cost=[]),
+        "exec_cost: expected an object, got list",
+        id="exec-cost",
+    ),
+    pytest.param(
+        _level_as_a_list,
+        "providers[0].levels[0]: expected an object, got list",
+        id="level",
+    ),
+]
+
+
+@pytest.mark.parametrize("mistype, reason", MISTYPED)
+def test_solve_mistyped_node_names_its_path(tmp_path, capsys, geo_doc, mistype, reason):
+    mistype(geo_doc)
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert_refused(code, stdout, err, 2)
+    assert err.strip() == f"cannot read instance: {reason}"
+
+
 def test_solve_missing_key_is_named(tmp_path, capsys, geo_doc):
     del geo_doc["data_centers"]
     path = write_doc(tmp_path, geo_doc)
@@ -513,8 +561,10 @@ def test_max_replicas_above_the_data_centers_means_all(tmp_path, capsys, geo_doc
             capsys, "solve", "--instance", path, "--algorithm", "datum", "--max-replicas", raw
         )
         assert code == 0
-        records.append(json.loads(stdout)["total"])
-    assert records[0] == records[1]
+        records.append(json.loads(stdout))
+    assert records[0]["total"] == records[1]["total"]
+    # Both runs record the cap Datum used: the two data centers.
+    assert records[0]["config"] == records[1]["config"] == "max_replicas=2,mu1=0,mu2=0"
 
 
 def test_generate_has_no_max_replicas(tmp_path, capsys):

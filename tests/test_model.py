@@ -416,6 +416,13 @@ def _assert_tables_exact(instance):
     providers = {p.id: p for p in instance.providers}
     for sub in split_by_provider(instance):
         oper = providers[sub.provider_id].oper_cost
+        assert len(sub.alpha) == sub.num_levels
+        for table in sub.alpha:
+            assert len(table) == sub.num_dcs
+            assert all(len(row) == len(sub.client_ids) for row in table)
+        if instance.exec_cost.level_independent:
+            # One table object serves every level.
+            assert all(table is sub.alpha[0] for table in sub.alpha)
         for d in range(sub.num_dcs):
             for l in range(1, sub.num_levels + 1):
                 assert sub.beta[d][l - 1] == to_micros(oper[d][l - 1])
@@ -423,7 +430,7 @@ def _assert_tables_exact(instance):
                     expected = exec_cost_value(
                         instance, sub.provider_id, d, client_index[client_id], l
                     )
-                    cell = sub.alpha[d][c][l - 1]
+                    cell = sub.alpha[l - 1][d][c]
                     assert type(cell) is int and cell == to_micros(expected)
 
 
@@ -463,6 +470,40 @@ def test_split_computes_each_distance_once(monkeypatch):
     monkeypatch.setattr(model, "distance_micros", counting)
     split_by_provider(inst)
     assert 0 < calls <= len(inst.data_centers) * len(inst.clients)
+
+
+def test_split_resolves_each_distinct_quality_once(monkeypatch):
+    import datamarket.model as model
+
+    inst = generate(
+        ScenarioParams(
+            seed=1, num_data_centers=4, num_providers=6, num_clients=40, levels_per_provider=4
+        )
+    )
+    calls = 0
+    original = model.min_level_index
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(model, "min_level_index", counting)
+    subs = split_by_provider(inst)
+    distinct = {(pid, w) for c in inst.clients for pid, w in c.demands}
+    assert 0 < calls <= len(distinct) < sum(len(sub.client_ids) for sub in subs)
+
+
+def test_split_keeps_client_order_and_first_demand():
+    inst = build_instance(
+        beta=[[1, 2]], fees=[1, 2], demands=[2, 1, 1], alpha=[[0, 0, 0]]
+    )
+    first, *rest = inst.clients
+    twice = replace(first, demands=first.demands + ((first.demands[0][0], F(1)),))
+    inst = replace(inst, clients=(twice, *rest))
+    (sub,) = split_by_provider(inst)
+    assert sub.client_ids == tuple(c.id for c in inst.clients)
+    assert sub.min_levels == (2, 1, 1)
 
 
 def test_evaluate_computes_each_distance_once(monkeypatch):
