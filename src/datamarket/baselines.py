@@ -2,6 +2,8 @@
 
 opt_cost enumerates binary placement supports per provider (providers are
 independent) with branch-and-bound pruning and returns the exact optimum.
+Its prune uses dual_ascent, Erlenkotter's (1978) lower bound on the facility
+location problem that a search node leaves open, in int micro-units.
 opt_band minimizes operation plus execution cost only, the usual objective
 of geo-distributed analytics systems, and reports the full cost of the plan
 it picks. nearest_dc is the greedy rule used in practice: buy exactly what
@@ -21,6 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from datamarket.model import (
     Client,
@@ -91,14 +94,68 @@ class UflpInstance:
         return tuple(tuple(m if v is None else v for v in row) for row in self.connection)
 
 
+def dual_ascent(
+    open_costs: Sequence[int],
+    rows: Sequence[Sequence[tuple[int, int]]],
+    stop_at: int | None = None,
+) -> int:
+    """Erlenkotter's (1978) dual-ascent lower bound on a UFLP optimum.
+
+    open_costs[j] is facility j's opening cost. rows[i] lists client i's
+    allowed (facility, connection cost) pairs, cheapest first; every row is
+    non-empty. Each client's dual value v_i starts at its cheapest connection
+    and rises by at most one breakpoint per pass, while every facility keeps
+    sum_i max(0, v_i - c_ij) <= open_costs[j]; sum(v) is then a lower bound
+    on the optimum. All ints. The ascent stops early once the bound reaches
+    stop_at.
+    """
+    slack = list(open_costs)
+    value = [row[0][1] for row in rows]
+    reach = []  # how many of each row's entries cost at most its value
+    for row, v in zip(rows, value):
+        r = 1
+        while r < len(row) and row[r][1] <= v:
+            r += 1
+        reach.append(r)
+    bound = sum(value)
+    active = list(range(len(rows)))
+    while active and (stop_at is None or bound < stop_at):
+        rising = []
+        for i in active:
+            row, r = rows[i], reach[i]
+            step = min(slack[j] for j, _ in row[:r])
+            if not step:
+                continue  # a facility it reaches is paid for: v_i is final
+            v = value[i]
+            if r < len(row):
+                step = min(step, row[r][1] - v)
+            for j, _ in row[:r]:
+                slack[j] -= step
+            v += step
+            while r < len(row) and row[r][1] <= v:
+                r += 1
+            value[i], reach[i] = v, r
+            bound += step
+            rising.append(i)
+            if stop_at is not None and bound >= stop_at:
+                return bound
+        active = rising
+    return bound
+
+
 def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: int) -> Plan:
     """Exact per-provider support search.
 
-    Enumerates subsets of (data center, level) items depth-first, pruning any
-    branch whose placement cost (plus bulk fees and a constant per-client
-    assignment floor) cannot beat the incumbent. Seeded with the greedy
-    closest-placement plan, so the prune is active from the first node.
-    All costs are int micro-units.
+    Enumerates subsets of (data center, level) items depth-first, include
+    before exclude, seeded with the greedy closest-placement plan; a leaf
+    replaces the incumbent only when strictly cheaper. A node is pruned when
+    some client has no allowed item left, or when its fixed cost (opening
+    costs of the chosen items plus their bulk fees) plus a lower bound on the
+    rest cannot beat the incumbent. The bound is the per-client assignment
+    floor, then dual_ascent on the residual facility location problem:
+    chosen items open at 0, undecided ones at beta, excluded ones dropped.
+    Any valid bound keeps the first optimal leaf, so the bound changes the
+    time, not the plan. All costs are int micro-units.
     """
     num_items = sub.num_dcs * sub.num_levels
     if 2**num_items > budget:
@@ -115,17 +172,16 @@ def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: 
     fee_of = [to_micros(sub.fee(l)) if charged and not bulk else 0 for l in levels]
     bulk_fee_of = [to_micros(sub.bulk_fee(l)) if charged and bulk else 0 for l in levels]
 
-    def assign_cost(k: int, c: int) -> int:
-        d, l = items[k]
-        return sub.alpha[l - 1][d][c] + fee_of[l - 1]
-
     # Each client's usable items with their assignment costs, best first
     # (cheapest, then lowest level, then lowest data-center index).
     prefs = []
-    for c in range(len(sub.client_ids)):
-        usable = [k for k, (d, l) in enumerate(items) if l >= sub.min_levels[c]]
-        usable.sort(key=lambda k: (assign_cost(k, c), items[k][1], items[k][0]))
-        prefs.append([(k, assign_cost(k, c)) for k in usable])
+    for c, need in enumerate(sub.min_levels):
+        ranked = sorted(
+            (sub.alpha[l - 1][d][c] + fee_of[l - 1], l, d, k)
+            for k, (d, l) in enumerate(items)
+            if l >= need
+        )
+        prefs.append([(k, cost) for cost, _, _, k in ranked])
     floor = sum(ranked[0][1] for ranked in prefs)
 
     def bulk_fees(level_set: set[int]) -> int:
@@ -151,10 +207,14 @@ def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: 
     best_sol = (seed_items, best_sol)
 
     chosen: list[int] = []
+    # Residual opening costs: a chosen item is already paid for.
+    open_cost = list(beta_of)
 
-    def dfs(k: int, beta_sum: int, level_set: set[int]) -> None:
+    def dfs(k: int, beta_sum: int, level_set: set[int], rows: list) -> None:
+        """rows: prefs without the excluded items."""
         nonlocal incumbent, best_sol
-        if beta_sum + bulk_fees(level_set) + floor >= incumbent:
+        fixed = beta_sum + bulk_fees(level_set)
+        if fixed + floor >= incumbent:
             return
         if k == num_items:
             total, assignment = evaluate(chosen)
@@ -162,14 +222,20 @@ def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: 
                 incumbent = total
                 best_sol = (list(chosen), assignment)
             return
+        if fixed + dual_ascent(open_cost, rows, incumbent - fixed) >= incumbent:
+            return
         d, l = items[k]
         chosen.append(k)
+        open_cost[k] = 0
         added = l not in level_set
-        dfs(k + 1, beta_sum + beta_of[k], level_set | {l} if added else level_set)
+        dfs(k + 1, beta_sum + beta_of[k], level_set | {l} if added else level_set, rows)
+        open_cost[k] = beta_of[k]
         chosen.pop()
-        dfs(k + 1, beta_sum, level_set)
+        rows = [[kc for kc in row if kc[0] != k] for row in rows]
+        if all(rows):
+            dfs(k + 1, beta_sum, level_set, rows)
 
-    dfs(0, 0, set())
+    dfs(0, 0, set(), prefs)
     open_items, assignment = best_sol
     return sub.lower((items[k] for k in open_items), (items[k] for k in assignment))
 

@@ -674,14 +674,17 @@ def instance_to_json(instance: MarketInstance) -> dict:
 _JSON_KINDS = {list: "a list", dict: "an object"}
 
 
+def _mistyped(path: tuple, expected: str, value) -> TypeError:
+    """The TypeError for a JSON node at path that is not what the schema expects."""
+    where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path).lstrip(".")
+    return TypeError(f"{where or 'document'}: expected {expected}, got {type(value).__name__}")
+
+
 def _expect(kind: type, value, *path):
     """value, if it is the JSON list or object (kind list or dict) the schema
     puts at path; else a TypeError naming the path and the type found."""
     if not isinstance(value, kind):
-        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path).lstrip(".")
-        raise TypeError(
-            f"{where or 'document'}: expected {_JSON_KINDS[kind]}, got {type(value).__name__}"
-        )
+        raise _mistyped(path, _JSON_KINDS[kind], value)
     return value
 
 
@@ -693,14 +696,26 @@ def _entries(kind: type, value, *path) -> list:
 def instance_from_json(doc: dict) -> MarketInstance:
     seen: dict[str, Fraction] = {}
 
-    def rational(value):
-        """to_rational, once per distinct decimal string in this document;
-        equal strings share one immutable Fraction."""
-        if type(value) is not str:
+    def rational(value, *path):
+        """to_rational of the number cell at path, once per distinct decimal
+        string in this document (equal strings share one immutable
+        Fraction). A cell that is not a JSON number or string, a boolean
+        included, is a TypeError naming the path."""
+        if type(value) is str:
+            if value not in seen:
+                seen[value] = to_rational(value)
+            return seen[value]
+        if type(value) is int or type(value) is float:
             return to_rational(value)
-        if value not in seen:
-            seen[value] = to_rational(value)
-        return seen[value]
+        raise _mistyped(path, "a number or decimal string", value)
+
+    def cells(values: list, *path) -> tuple[Fraction, ...]:
+        """rational of each cell of the JSON list at path; the cells' paths
+        are spelled out only to name a refused one."""
+        try:
+            return tuple(map(rational, values))
+        except TypeError:
+            return tuple(rational(v, *path, k) for k, v in enumerate(values))
 
     def location(node: dict, *path):
         if "location" not in node:
@@ -710,7 +725,10 @@ def instance_from_json(doc: dict) -> MarketInstance:
     def tensor(pid: str, rows):
         path = ("exec_cost", "alpha", pid)
         return tuple(
-            tuple(tuple(map(rational, per_level)) for per_level in _entries(list, row, *path, d))
+            tuple(
+                cells(per_level, *path, d, c)
+                for c, per_level in enumerate(_entries(list, row, *path, d))
+            )
             for d, row in enumerate(_entries(list, rows, *path))
         )
 
@@ -721,15 +739,23 @@ def instance_from_json(doc: dict) -> MarketInstance:
             levels=tuple(
                 QualityLevel(
                     index=k + 1,
-                    quality=rational(l["quality"]),
-                    per_query_fee=rational(l["per_query_fee"]),
-                    bulk_fee=rational(l["bulk_fee"]) if "bulk_fee" in l else None,
+                    quality=rational(l["quality"], "providers", i, "levels", k, "quality"),
+                    per_query_fee=rational(
+                        l["per_query_fee"], "providers", i, "levels", k, "per_query_fee"
+                    ),
+                    bulk_fee=(
+                        rational(l["bulk_fee"], "providers", i, "levels", k, "bulk_fee")
+                        if "bulk_fee" in l
+                        else None
+                    ),
                 )
                 for k, l in enumerate(_entries(dict, p["levels"], "providers", i, "levels"))
             ),
             oper_cost=tuple(
-                tuple(rational(v) for v in row)
-                for row in _entries(list, p["oper_cost"], "providers", i, "oper_cost")
+                cells(row, "providers", i, "oper_cost", d)
+                for d, row in enumerate(
+                    _entries(list, p["oper_cost"], "providers", i, "oper_cost")
+                )
             ),
         )
         for i, p in enumerate(_entries(dict, doc["providers"], "providers"))
@@ -742,7 +768,7 @@ def instance_from_json(doc: dict) -> MarketInstance:
         Client(
             id=c["id"],
             demands=tuple(
-                (pid, rational(w))
+                (pid, rational(w, "clients", i, "demands", pid))
                 for pid, w in _expect(dict, c["demands"], "clients", i, "demands").items()
             ),
             location=location(c, "clients", i),
@@ -754,7 +780,9 @@ def instance_from_json(doc: dict) -> MarketInstance:
         exec_cost = ExecCostModel(
             mode="distance",
             level_independent=True,
-            rate_per_gigameter=rational(ec["rate_per_gigameter"]),
+            rate_per_gigameter=rational(
+                ec["rate_per_gigameter"], "exec_cost", "rate_per_gigameter"
+            ),
         )
     else:
         tensors = _expect(dict, ec["alpha"], "exec_cost", "alpha")

@@ -37,8 +37,11 @@ def to_rational(value: str | int | float | Fraction | Decimal) -> Fraction:
     """Convert an external numeric value to an exact Fraction.
 
     Strings and floats are read as decimals and quantized to 1e-6
-    (round-half-even). Ints and Fractions pass through unchanged.
+    (round-half-even). Ints and Fractions pass through unchanged. A bool is
+    refused, although Python counts it as an int.
     """
+    if isinstance(value, bool):
+        raise TypeError("cannot convert bool to a rational")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

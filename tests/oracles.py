@@ -2,8 +2,10 @@
 
 Everything here is deliberately dumb and shares no code with the library
 paths it checks: exhaustive subset enumeration for market optima and UFLP,
-vertex enumeration for small LPs, direct evaluation of category programs,
-and the per-assignment Fraction price with its Fraction distance formula.
+the exhaustive support search with no bound but the per-client floor (the
+plan the library's bounded search must keep), vertex enumeration for small
+LPs, direct evaluation of category programs, and the per-assignment
+Fraction price with its Fraction distance formula.
 The exceptions are `DenseTableau`, the library's simplex tableau with its
 pivot swapped for the dense loop, which checks that the sparse pivot takes
 the same steps, and `breakpoints`, which builds the `Breakpoints` that
@@ -32,6 +34,7 @@ from datamarket.model import (
     UnsatisfiableDemand,
     check_plan,
     exec_cost_value,
+    split_by_provider,
 )
 from datamarket.numeric import haversine_gigameters, quantize, to_micros
 from datamarket.single_dc import NoBreakpoint, _first_reach
@@ -360,6 +363,85 @@ def market_enumeration(instance: MarketInstance) -> Fraction | None:
             return None
         total += best
     return total
+
+
+def reference_search(sub: ProviderSubproblem, minimize_band_only: bool) -> Plan:
+    """One provider's exact support search with no bound but the floor.
+
+    The same depth-first order as the library search: items (data center,
+    level) d-major, include before exclude, the greedy plan (each demanded
+    level at its cheapest data center, lowest index on ties) as the first
+    incumbent, a strict `<` update, and each client served by its cheapest
+    open item (then lowest level, then lowest data-center index). The only
+    prune is the fixed cost plus the sum of each client's cheapest
+    assignment, so its plan is the one any valid lower bound must keep.
+    """
+    items = [(d, l) for d in range(sub.num_dcs) for l in range(1, sub.num_levels + 1)]
+    bulk = sub.contracting == "bulk"
+
+    def fee(l):
+        return 0 if minimize_band_only or bulk else to_micros(sub.fee(l))
+
+    def bulk_fees(level_set):
+        if minimize_band_only or not bulk:
+            return 0
+        return sum(to_micros(sub.bulk_fee(l)) for l in level_set)
+
+    prefs = []
+    for c, need in enumerate(sub.min_levels):
+        usable = [
+            (sub.alpha[l - 1][d][c] + fee(l), l, d, k)
+            for k, (d, l) in enumerate(items)
+            if l >= need
+        ]
+        prefs.append(sorted(usable))
+    floor = sum(ranked[0][0] for ranked in prefs)
+
+    def evaluate(open_items):
+        total = sum(sub.beta[d][l - 1] for d, l in (items[k] for k in open_items))
+        total += bulk_fees({items[k][1] for k in open_items})
+        assignment = []
+        for ranked in prefs:
+            best = next((entry for entry in ranked if entry[3] in open_items), None)
+            if best is None:
+                return None, None
+            assignment.append(best[3])
+            total += best[0]
+        return total, assignment
+
+    homes = {
+        l: min(range(sub.num_dcs), key=lambda d: (sub.beta[d][l - 1], d))
+        for l in set(sub.min_levels)
+    }
+    seed = sorted(items.index((d, l)) for l, d in homes.items())
+    incumbent, assignment = evaluate(seed)
+    best = (seed, assignment)
+
+    def dfs(k, chosen, beta_sum, level_set):
+        nonlocal incumbent, best
+        if beta_sum + bulk_fees(level_set) + floor >= incumbent:
+            return
+        if k == len(items):
+            total, assignment = evaluate(chosen)
+            if total is not None and total < incumbent:
+                incumbent, best = total, (chosen, assignment)
+            return
+        d, l = items[k]
+        dfs(k + 1, chosen + [k], beta_sum + sub.beta[d][l - 1], level_set | {l})
+        dfs(k + 1, chosen, beta_sum, level_set)
+
+    dfs(0, [], 0, frozenset())
+    open_items, assignment = best
+    return sub.lower((items[k] for k in open_items), (items[k] for k in assignment))
+
+
+def reference_exhaustive(instance: MarketInstance, minimize_band_only: bool) -> Plan:
+    """The plan of opt_cost (or, band only, opt_band) by reference_search."""
+    return Plan.union(
+        reference_search(sub, minimize_band_only)
+        for sub in split_by_provider(instance)
+        if sub.client_ids
+    )
 
 
 def uflp_brute_force(open_costs, connection) -> Fraction | None:

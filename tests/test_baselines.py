@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_instance
 from datamarket.baselines import (
     OversizeInstance,
+    dual_ascent,
     from_uflp,
     nearest_dc,
     opt_band,
@@ -17,8 +20,16 @@ from datamarket.baselines import (
     uflp_to_json,
 )
 from datamarket.model import exec_cost_value, split_by_provider
-from datamarket.numeric import MICROS
-from oracles import empty_plan, market_enumeration, served_level, uflp_brute_force
+from datamarket.numeric import MICROS, to_micros
+from datamarket.scenario import ScenarioParams, generate
+from oracles import (
+    empty_plan,
+    market_enumeration,
+    random_market,
+    reference_exhaustive,
+    served_level,
+    uflp_brute_force,
+)
 
 F = Fraction
 
@@ -183,6 +194,72 @@ def test_oversize_budget(monkeypatch):
     monkeypatch.setenv("DATUM_BUDGET", str(2**5))
     with pytest.raises(OversizeInstance):
         opt_cost(inst)
+
+
+@pytest.mark.parametrize("bulk", [False, True], ids=["per-query", "bulk"])
+def test_bounded_search_keeps_the_reference_plans(bulk):
+    # Level-independent beta gives opt_band ties between levels, so a
+    # bound that moved the search to another optimal leaf would show here.
+    rng = random.Random(4242 + bulk)
+    for _ in range(150):
+        inst = random_market(
+            rng, max_dcs=3, max_levels=3, max_clients=8, bulk=bulk, level_independent_beta=True
+        )
+        assert opt_cost(inst)[0] == reference_exhaustive(inst, minimize_band_only=False)
+        assert opt_band(inst)[0] == reference_exhaustive(inst, minimize_band_only=True)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_bounded_search_keeps_the_case_study_plans(seed):
+    inst = generate(
+        ScenarioParams(
+            seed=seed, num_data_centers=4, num_providers=6, num_clients=40, levels_per_provider=4
+        )
+    )
+    assert opt_cost(inst)[0] == reference_exhaustive(inst, minimize_band_only=False)
+    assert opt_band(inst)[0] == reference_exhaustive(inst, minimize_band_only=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), charged=st.booleans(), data=st.data())
+def test_dual_ascent_never_exceeds_the_residual_optimum(seed, charged, data):
+    # A search node's residual problem: forced-open items cost nothing to
+    # open, excluded ones are gone, undecided ones open at beta.
+    inst = random_market(random.Random(seed), max_providers=1, max_dcs=3, max_levels=3)
+    (sub,) = split_by_provider(inst)
+    items = [(d, l) for d in range(sub.num_dcs) for l in range(1, sub.num_levels + 1)]
+    state = data.draw(st.lists(st.sampled_from("fxu"), min_size=len(items), max_size=len(items)))
+    kept = [k for k, s in enumerate(state) if s != "x"]
+    open_costs = [0 if state[k] == "f" else sub.beta[d][l - 1] for k, (d, l) in enumerate(items)]
+
+    def connection(k, c):
+        d, l = items[k]
+        fee = to_micros(sub.fee(l)) if charged else 0
+        return sub.alpha[l - 1][d][c] + fee if l >= sub.min_levels[c] else None
+
+    rows = [
+        sorted(
+            ((k, connection(k, c)) for k in kept if connection(k, c) is not None),
+            key=lambda kc: kc[1],
+        )
+        for c in range(len(sub.client_ids))
+    ]
+    optimum = None
+    if kept:
+        optimum = uflp_brute_force(
+            [open_costs[k] for k in kept],
+            [[connection(k, c) for c in range(len(sub.client_ids))] for k in kept],
+        )
+    if not all(rows):
+        assert optimum is None
+        return
+    bound = dual_ascent(open_costs, rows)
+    assert bound <= optimum
+    if "u" not in state:
+        # Nothing left to open: the bound is the exact assignment cost.
+        assert bound == optimum
+    stop = data.draw(st.integers(0, optimum + 1))
+    assert min(stop, bound) <= dual_ascent(open_costs, rows, stop) <= bound
 
 
 def test_to_uflp_instance_a(instance_a):

@@ -441,6 +441,31 @@ MISTYPED = [
         "providers[0].levels[0]: expected an object, got list",
         id="level",
     ),
+    pytest.param(
+        lambda doc: doc["providers"][0]["levels"][0].update(quality=True),
+        "providers[0].levels[0].quality: expected a number or decimal string, got bool",
+        id="quality-bool",
+    ),
+    pytest.param(
+        lambda doc: doc["providers"][0]["levels"][0].update(quality=[1]),
+        "providers[0].levels[0].quality: expected a number or decimal string, got list",
+        id="quality-list",
+    ),
+    pytest.param(
+        lambda doc: doc["clients"][0].update(demands={"p1": True}),
+        "clients[0].demands.p1: expected a number or decimal string, got bool",
+        id="demand-bool",
+    ),
+    pytest.param(
+        lambda doc: doc["providers"][1]["oper_cost"][0].__setitem__(1, False),
+        "providers[1].oper_cost[0][1]: expected a number or decimal string, got bool",
+        id="oper-cost-cell",
+    ),
+    pytest.param(
+        lambda doc: doc["exec_cost"].update(rate_per_gigameter=None),
+        "exec_cost.rate_per_gigameter: expected a number or decimal string, got NoneType",
+        id="rate-null",
+    ),
 ]
 
 

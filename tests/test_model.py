@@ -656,6 +656,23 @@ def test_loader_equals_cell_by_cell_conversion(data):
                         assert by_string.setdefault(text, value) is value
 
 
+@pytest.mark.parametrize("cell", [True, None, [1], {"v": 1}], ids=["bool", "null", "list", "object"])
+def test_loader_names_a_mistyped_tensor_cell(cell):
+    doc = instance_to_json(build_instance(beta=[[1, 2]], fees=[1, 2], demands=[1], alpha=[[3]]))
+    doc["exec_cost"]["alpha"]["p1"][0][0][1] = cell
+    with pytest.raises(TypeError) as refused:
+        instance_from_json(doc)
+    assert str(refused.value) == (
+        f"exec_cost.alpha.p1[0][0][1]: expected a number or decimal string,"
+        f" got {type(cell).__name__}"
+    )
+
+
+def test_to_rational_refuses_a_bool():
+    with pytest.raises(TypeError, match="bool"):
+        to_rational(True)
+
+
 def test_validate_negative_cost_above_the_first_level():
     inst = build_instance(beta=[[1, 1]], fees=[1, 2], demands=[1, 1], alpha=[[[1, -1], [-2, -2]]])
     assert validate_instance(inst).violations == (
