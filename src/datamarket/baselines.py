@@ -143,19 +143,37 @@ def dual_ascent(
     return bound
 
 
+def _facilities(sub: ProviderSubproblem, fees: Sequence[int]):
+    """One provider's facility-location form, in int micro-units: the
+    (data center, level) items, data-center-major; their opening costs beta;
+    and each client's row of allowed (item index, fees[l - 1] + alpha) pairs,
+    items below its demanded level left out, ranked by (cost, level, data
+    center)."""
+    items = [(d, l) for d in range(sub.num_dcs) for l in range(1, sub.num_levels + 1)]
+    open_costs = [sub.beta[d][l - 1] for d, l in items]
+    rows = []
+    for c, need in enumerate(sub.min_levels):
+        ranked = sorted(
+            (sub.alpha[l - 1][d][c] + fees[l - 1], l, d, k)
+            for k, (d, l) in enumerate(items)
+            if l >= need
+        )
+        rows.append([(k, cost) for cost, _, _, k in ranked])
+    return items, open_costs, rows
+
+
 def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: int) -> Plan:
     """Exact per-provider support search.
 
-    Enumerates subsets of (data center, level) items depth-first, include
-    before exclude, seeded with the greedy closest-placement plan; a leaf
-    replaces the incumbent only when strictly cheaper. A node is pruned when
-    some client has no allowed item left, or when its fixed cost (opening
-    costs of the chosen items plus their bulk fees) plus a lower bound on the
-    rest cannot beat the incumbent. The bound is the per-client assignment
-    floor, then dual_ascent on the residual facility location problem:
-    chosen items open at 0, undecided ones at beta, excluded ones dropped.
-    Any valid bound keeps the first optimal leaf, so the bound changes the
-    time, not the plan. All costs are int micro-units.
+    Enumerates subsets of the _facilities items depth-first, include before
+    exclude, seeded with the greedy closest-placement plan; a leaf replaces
+    the incumbent only when strictly cheaper. A node keeps the client rows
+    without its excluded items, so at a leaf each row starts with its
+    client's assignment. A node is pruned when a row is empty, or when its
+    fixed cost (chosen items' opening costs and bulk fees) plus dual_ascent
+    on the residual facility location problem (chosen items open at 0,
+    undecided ones at beta) cannot beat the incumbent. Any valid bound keeps
+    the first optimal leaf, so it changes the time, not the plan.
     """
     num_items = sub.num_dcs * sub.num_levels
     if 2**num_items > budget:
@@ -163,48 +181,23 @@ def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: 
             f"provider {sub.provider_id}: needs 2^{num_items} supports,"
             f" budget allows {budget} (set {BUDGET_ENV} to raise)"
         )
-    items = [(d, l) for d in range(sub.num_dcs) for l in range(1, sub.num_levels + 1)]
-    beta_of = [sub.beta[d][l - 1] for d, l in items]
     levels = range(1, sub.num_levels + 1)
     charged = not minimize_band_only
     bulk = sub.contracting == "bulk"
     # Per-level fee added to each assignment, and per-level one-time fee.
     fee_of = [to_micros(sub.fee(l)) if charged and not bulk else 0 for l in levels]
     bulk_fee_of = [to_micros(sub.bulk_fee(l)) if charged and bulk else 0 for l in levels]
-
-    # Each client's usable items with their assignment costs, best first
-    # (cheapest, then lowest level, then lowest data-center index).
-    prefs = []
-    for c, need in enumerate(sub.min_levels):
-        ranked = sorted(
-            (sub.alpha[l - 1][d][c] + fee_of[l - 1], l, d, k)
-            for k, (d, l) in enumerate(items)
-            if l >= need
-        )
-        prefs.append([(k, cost) for cost, _, _, k in ranked])
-    floor = sum(ranked[0][1] for ranked in prefs)
+    items, beta_of, prefs = _facilities(sub, fee_of)
 
     def bulk_fees(level_set: set[int]) -> int:
         return sum(bulk_fee_of[l - 1] for l in level_set)
 
-    def evaluate(open_items: list[int]):
-        open_set = set(open_items)
-        total = sum(beta_of[k] for k in open_items)
-        total += bulk_fees({items[k][1] for k in open_items})
-        assignment = []
-        for ranked in prefs:
-            best = next((kc for kc in ranked if kc[0] in open_set), None)
-            if best is None:
-                return None, None
-            assignment.append(best[0])
-            total += best[1]
-        return total, assignment
-
     # Greedy seed: each demanded level at its cheapest data center.
     seed_items = sorted(items.index((d, l)) for l, d in _cheapest_homes(sub).items())
-    incumbent, best_sol = evaluate(seed_items)
-    assert incumbent is not None, "validated instances always admit the greedy plan"
-    best_sol = (seed_items, best_sol)
+    seed_rows = [[kc for kc in row if kc[0] in seed_items] for row in prefs]
+    incumbent = sum(beta_of[k] for k in seed_items) + bulk_fees({items[k][1] for k in seed_items})
+    incumbent += sum(row[0][1] for row in seed_rows)
+    best_sol = (seed_items, [row[0][0] for row in seed_rows])
 
     chosen: list[int] = []
     # Residual opening costs: a chosen item is already paid for.
@@ -214,21 +207,18 @@ def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: 
         """rows: prefs without the excluded items."""
         nonlocal incumbent, best_sol
         fixed = beta_sum + bulk_fees(level_set)
-        if fixed + floor >= incumbent:
-            return
         if k == num_items:
-            total, assignment = evaluate(chosen)
-            if total is not None and total < incumbent:
+            total = fixed + sum(row[0][1] for row in rows)
+            if total < incumbent:
                 incumbent = total
-                best_sol = (list(chosen), assignment)
+                best_sol = (list(chosen), [row[0][0] for row in rows])
             return
         if fixed + dual_ascent(open_cost, rows, incumbent - fixed) >= incumbent:
             return
-        d, l = items[k]
+        l = items[k][1]
         chosen.append(k)
         open_cost[k] = 0
-        added = l not in level_set
-        dfs(k + 1, beta_sum + beta_of[k], level_set | {l} if added else level_set, rows)
+        dfs(k + 1, beta_sum + beta_of[k], level_set if l in level_set else level_set | {l}, rows)
         open_cost[k] = beta_of[k]
         chosen.pop()
         rows = [[kc for kc in row if kc[0] != k] for row in rows]
@@ -292,27 +282,20 @@ def _nearest_dc_provider(sub: ProviderSubproblem) -> Plan:
 
 def to_uflp(sub: ProviderSubproblem) -> UflpInstance:
     """Map one provider's subproblem to facility location: a facility per
-    (data center, level) pair opening at beta, connecting at fee + alpha,
-    with below-demand levels forbidden."""
+    (data center, level) item of _facilities, opening at beta, connecting at
+    fee + alpha, with below-demand levels forbidden."""
     if sub.contracting != "per_query":
         raise DatamarketError("to_uflp is defined for per-query contracting")
-    facility_ids = []
-    open_costs = []
-    connection = []
-    for d in range(sub.num_dcs):
-        for l in range(1, sub.num_levels + 1):
-            facility_ids.append(f"{sub.dc_ids[d]}:l{l}")
-            open_costs.append(Fraction(sub.beta[d][l - 1], MICROS))
-            connection.append(
-                tuple(
-                    sub.fee(l) + Fraction(sub.alpha[l - 1][d][c], MICROS)
-                    if l >= sub.min_levels[c]
-                    else None
-                    for c in range(len(sub.client_ids))
-                )
-            )
+    items, open_costs, rows = _facilities(sub, [to_micros(lvl.per_query_fee) for lvl in sub.levels])
+    connection = [[None] * len(sub.client_ids) for _ in items]
+    for c, row in enumerate(rows):
+        for k, cost in row:
+            connection[k][c] = Fraction(cost, MICROS)
     return UflpInstance(
-        tuple(facility_ids), tuple(open_costs), sub.client_ids, tuple(connection)
+        tuple(f"{sub.dc_ids[d]}:l{l}" for d, l in items),
+        tuple(Fraction(b, MICROS) for b in open_costs),
+        sub.client_ids,
+        tuple(map(tuple, connection)),
     )
 
 

@@ -55,7 +55,7 @@ from datamarket.model import (
 )
 from datamarket.numeric import format_money, quantize, to_rational
 from datamarket.scenario import ScenarioParams, generate, sweep_params
-from datamarket.single_dc import lower_single_dc_plan, solve_single_dc, solve_single_dc_bulk
+from datamarket.single_dc import lower_single_dc_plan, solve_single_dc
 
 EXIT_OK = 0
 EXIT_INVALID_INSTANCE = 2
@@ -106,9 +106,8 @@ def run_algorithm(instance: MarketInstance, name: str, config: DatumConfig):
     if name == "single-dc":
         if len(instance.data_centers) != 1:
             raise DatamarketError("--algorithm single-dc needs a one-data-center instance")
-        solver = solve_single_dc_bulk if instance.contracting == "bulk" else solve_single_dc
         plan = Plan.union(
-            lower_single_dc_plan(sub, solver(sub))
+            lower_single_dc_plan(sub, solve_single_dc(sub))
             for sub in split_by_provider(instance)
             if sub.client_ids
         )

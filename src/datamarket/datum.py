@@ -2,17 +2,17 @@
 
 The joint problem is NP-hard, but it decomposes well in practice: Step 1
 fixes the purchasing decisions by treating the whole cloud as one data
-center with transformed operation costs beta*(l), solved exactly by the
-single-data-center algorithm. Step 2 then places each purchased level on
-the replica set (a subset of data centers, capped at max_replicas members)
-minimizing placement plus delivery cost for the clients that level serves;
-given Step 1 this placement is a closed-form argmin per level.
+center with transformed operation costs beta*(l): it is the
+single-data-center solver run on beta*, bulk rule included. Step 2 then
+places each purchased level on the replica set (a subset of data centers,
+capped at max_replicas members) minimizing placement plus delivery cost for
+the clients that level serves; given Step 1 this is a closed-form argmin.
 
 The conservative transform beta*(l) = min over subsets of beta_v(l) makes
-Step 1's objective a lower bound on the operation-plus-purchasing cost of
-the true optimum. The parametric transform adds a decay-weighted share of
-delivery costs (mu1, mu2 knobs); the default mu1 = mu2 = 0 keeps the
-conservative choice.
+Step 1's per-query objective a lower bound on the operation-plus-purchasing
+cost of the true optimum. The parametric transform adds a decay-weighted
+share of delivery costs (mu1, mu2 knobs, ignored under bulk contracting);
+the default mu1 = mu2 = 0 keeps the conservative choice.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from datamarket.model import (
     CostBreakdown,
@@ -32,7 +33,13 @@ from datamarket.model import (
     split_by_provider,
 )
 from datamarket.numeric import MICROS, quantize
-from datamarket.single_dc import LevelDependentCosts, _solve_categories, categorize
+from datamarket.single_dc import (
+    LevelDependentCosts,
+    SingleDcPlan,
+    _solve_categories,
+    categorize,
+    top_level_plan,
+)
 
 ZERO = Fraction(0)
 
@@ -55,6 +62,9 @@ class DatumConfig:
     mu2: Fraction = ZERO
 
 
+Placements = tuple[tuple[int, tuple[int, ...]], ...]  # (level, subset) per level bought
+
+
 @dataclass(frozen=True)
 class SubsetCatalog:
     """Candidate replica sets with aggregated costs, in int micro-units.
@@ -67,33 +77,6 @@ class SubsetCatalog:
     subsets: tuple[tuple[int, ...], ...]
     beta_v: tuple[tuple[int, ...], ...]
     alpha_vc: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class TransformedCosts:
-    beta_star: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class StepOneResult:
-    """Aggregated purchasing decisions: which levels are bought, which level
-    serves each client, and the category program's objective (None when
-    Step 1 is skipped, as under bulk contracting)."""
-
-    open_levels: frozenset[int]
-    client_levels: tuple[int, ...]  # parallel to the subproblem's client_ids
-    objective: Fraction | None = None
-
-    def level_group(self, level: int) -> tuple[int, ...]:
-        return tuple(c for c, l in enumerate(self.client_levels) if l == level)
-
-
-@dataclass(frozen=True)
-class JointPlan:
-    """Per-level replica choice: at most one subset carries each level."""
-
-    placements: tuple[tuple[int, tuple[int, ...]], ...]  # (level, dc indices)
-    client_levels: tuple[int, ...]
 
 
 def build_subset_catalog_capped(sub: ProviderSubproblem, max_replicas: int) -> SubsetCatalog:
@@ -127,7 +110,7 @@ def transformed_costs(
     sub: ProviderSubproblem,
     mu1: Fraction = ZERO,
     mu2: Fraction = ZERO,
-) -> TransformedCosts:
+) -> tuple[Fraction, ...]:
     """beta*(l): cheapest subset cost, optionally anticipating delivery.
 
     With mu1 > 0 each subset's score adds, for every client whose minimum
@@ -161,48 +144,44 @@ def transformed_costs(
                 for score, sums in zip(scores, group_sums)
             ]
         beta_star.append(Fraction(min(scores, default=0), MICROS))
-    return TransformedCosts(tuple(beta_star))
+    return tuple(beta_star)
 
 
-def datum_step1(sub: ProviderSubproblem, tc: TransformedCosts) -> StepOneResult:
+def datum_step1(sub: ProviderSubproblem, beta_star: Sequence[Fraction]) -> SingleDcPlan:
     """Solve purchasing as a single data center under the transformed costs."""
     fees = [lvl.per_query_fee for lvl in sub.levels]
-    plan = _solve_categories(tc.beta_star, fees, categorize(sub))
-    choice = plan.choice_map()
-    client_levels = tuple(choice[ml] for ml in sub.min_levels)
-    return StepOneResult(plan.open_levels, client_levels, plan.objective)
+    return _solve_categories(beta_star, fees, categorize(sub))
 
 
-def datum_step2(
-    sub: ProviderSubproblem, catalog: SubsetCatalog, s1: StepOneResult
-) -> JointPlan:
+def datum_step2(sub: ProviderSubproblem, catalog: SubsetCatalog, s1: SingleDcPlan) -> Placements:
     """Closed-form placement: each purchased level goes to the subset
     minimizing beta_v(l) plus the delivery costs of its client group.
 
     Ties break toward the smallest subset, then lexicographic member order.
     """
+    client_levels = s1.client_levels(sub)
     placements = []
     for level in sorted(s1.open_levels):
-        group = s1.level_group(level)
+        group = [c for c, l in enumerate(client_levels) if l == level]
         scores = [
             beta[level - 1] + sum(alpha[c] for c in group)
             for beta, alpha in zip(catalog.beta_v, catalog.alpha_vc)
         ]
         _, _, best = min(zip(scores, map(len, catalog.subsets), catalog.subsets))
         placements.append((level, best))
-    return JointPlan(tuple(placements), s1.client_levels)
+    return tuple(placements)
 
 
-def lower_joint_plan(sub: ProviderSubproblem, jp: JointPlan) -> Plan:
+def lower_joint_plan(sub: ProviderSubproblem, placements: Placements, s1: SingleDcPlan) -> Plan:
     """Expand subset placements to per-data-center decisions; each client is
-    served from the subset member with the cheapest delivery (lowest index
-    on ties)."""
-    subset_of = dict(jp.placements)
+    served at its Step-1 level from the subset member with the cheapest
+    delivery (lowest index on ties)."""
+    subset_of = dict(placements)
     served = [
         (min(subset_of[level], key=lambda d: (sub.alpha[level - 1][d][c], d)), level)
-        for c, level in enumerate(jp.client_levels)
+        for c, level in enumerate(s1.client_levels(sub))
     ]
-    placed = ((d, level) for level, subset in jp.placements for d in subset)
+    placed = ((d, level) for level, subset in placements for d in subset)
     return sub.lower(placed, served)
 
 
@@ -210,24 +189,23 @@ def _catalog(sub: ProviderSubproblem, config: DatumConfig) -> SubsetCatalog:
     return build_subset_catalog_capped(sub, min(config.max_replicas, sub.num_dcs))
 
 
-def _step1(sub: ProviderSubproblem, catalog: SubsetCatalog, config: DatumConfig) -> StepOneResult:
+def _step1(sub: ProviderSubproblem, catalog: SubsetCatalog, config: DatumConfig) -> SingleDcPlan:
     return datum_step1(sub, transformed_costs(catalog, sub, config.mu1, config.mu2))
 
 
 def _solve_provider(sub: ProviderSubproblem, config: DatumConfig) -> Plan:
-    """Datum on one provider. Under bulk contracting Step 1 is replaced by
-    buying only the top level, for every client, and placing it with the
-    Step-2 argmin: exact when operation and execution costs are
-    level-independent (required) and some client demands the top level."""
+    """Datum on one provider. Under bulk contracting Step 1 buys only the
+    top level, for every client, and Step 2 places it: exact when operation
+    and execution costs are level-independent (required), some client
+    demands the top level and the catalog holds every subset."""
     if sub.contracting == "bulk":
         _require_level_independent(sub)
-        top = sub.num_levels
-        s1 = StepOneResult(frozenset([top]), (top,) * len(sub.client_ids))
         catalog = _catalog(sub, config)
+        s1 = top_level_plan(sub, transformed_costs(catalog, sub))
     else:
         catalog = _catalog(sub, config)
         s1 = _step1(sub, catalog, config)
-    return lower_joint_plan(sub, datum_step2(sub, catalog, s1))
+    return lower_joint_plan(sub, datum_step2(sub, catalog, s1), s1)
 
 
 def datum_solve(
@@ -247,7 +225,8 @@ def step1_objective(
 ) -> Fraction:
     """Total Step-1 objective across providers: transformed operation cost of
     the purchased levels plus per-query fees. With mu1 = 0 this lower-bounds
-    the operation-plus-purchasing cost of any feasible solution."""
+    the operation-plus-purchasing cost of any feasible solution under
+    per-query contracting only: it charges per-query fees, not bulk fees."""
     config = config or DatumConfig()
     subs = [sub for sub in split_by_provider(instance) if sub.client_ids]
     return sum((_step1(sub, _catalog(sub, config), config).objective for sub in subs), ZERO)

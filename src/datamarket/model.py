@@ -784,13 +784,18 @@ def instance_from_json(doc: dict) -> MarketInstance:
                 ec["rate_per_gigameter"], "exec_cost", "rate_per_gigameter"
             ),
         )
-    else:
+    elif ec["mode"] == "explicit":
         tensors = _expect(dict, ec["alpha"], "exec_cost", "alpha")
+        flag = ec.get("level_independent", False)
+        if type(flag) is not bool:
+            raise _mistyped(("exec_cost", "level_independent"), "a boolean", flag)
         exec_cost = ExecCostModel(
             mode="explicit",
-            level_independent=bool(ec.get("level_independent", False)),
+            level_independent=flag,
             alpha=tuple((pid, tensor(pid, rows)) for pid, rows in tensors.items()),
         )
+    else:
+        raise ValueError(f"exec_cost.mode: expected 'distance' or 'explicit', got {ec['mode']!r}")
     return MarketInstance(
         providers=providers,
         data_centers=data_centers,

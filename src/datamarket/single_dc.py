@@ -16,8 +16,8 @@ constraint matrix is an interval matrix, hence totally unimodular, so the
 reduced LP's extreme points are all binary and the mapped-back solution is
 an exact integer optimum.
 
-Bulk contracting on a single data center degenerates: the top level alone is
-purchased and serves every client.
+Bulk contracting on a single data center degenerates: top_level_plan buys
+the top level alone, optimal only when some client demands that level.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ class SingleDcPlan:
 
     def choice_map(self) -> dict[int, int]:
         return dict(self.choices)
+
+    def client_levels(self, sub: ProviderSubproblem) -> tuple[int, ...]:
+        """The level serving each client, parallel to sub.client_ids."""
+        choice = self.choice_map()
+        return tuple(choice[min_level] for min_level in sub.min_levels)
 
 
 def categorize(sub: ProviderSubproblem) -> tuple[int, ...]:
@@ -231,28 +236,26 @@ def _fee_vector(sub: ProviderSubproblem) -> list[Fraction]:
 
 
 def solve_single_dc(sub: ProviderSubproblem) -> SingleDcPlan:
-    """Exactly optimal purchasing for a subproblem with one data center."""
+    """Purchasing for a subproblem with one data center: exactly optimal
+    under per-query contracting, top_level_plan under bulk contracting."""
     if sub.num_dcs != 1:
         raise ValueError("solve_single_dc needs exactly one data center")
     beta = [Fraction(b, MICROS) for b in sub.beta[0]]
+    if sub.contracting == "bulk":
+        return top_level_plan(sub, beta)
     return _solve_categories(beta, _fee_vector(sub), categorize(sub))
 
 
-def solve_single_dc_bulk(sub: ProviderSubproblem) -> SingleDcPlan:
-    """Bulk contracting on one data center: buy the top level only.
-
-    With some client demanding the top level this is exactly optimal; the
-    plan serves every category from level L at cost beta(L) + bulk_fee(L).
-    """
-    if sub.num_dcs != 1:
-        raise ValueError("solve_single_dc_bulk needs exactly one data center")
+def top_level_plan(sub: ProviderSubproblem, beta: Sequence[Fraction]) -> SingleDcPlan:
+    """Bulk contracting: buy the top level L only and serve every category
+    from it, at cost beta(L) + bulk_fee(L). On one data center this is
+    exactly optimal when some client demands level L."""
     counts = categorize(sub)
     if sum(counts) == 0:
         return SingleDcPlan(frozenset(), (), ZERO)
     top = sub.num_levels
-    objective = Fraction(sub.beta[0][top - 1], MICROS) + sub.bulk_fee(top)
     choices = tuple((i, top) for i in range(1, top + 1) if counts[i - 1] > 0)
-    return SingleDcPlan(frozenset([top]), choices, objective)
+    return SingleDcPlan(frozenset([top]), choices, beta[top - 1] + sub.bulk_fee(top))
 
 
 def lower_single_dc_plan(sub: ProviderSubproblem, plan: SingleDcPlan) -> Plan:
@@ -260,8 +263,7 @@ def lower_single_dc_plan(sub: ProviderSubproblem, plan: SingleDcPlan) -> Plan:
     for the (single) data center of the subproblem."""
     if sub.num_dcs != 1:
         raise ValueError("lowering needs exactly one data center")
-    choice = plan.choice_map()
     return sub.lower(
         ((0, level) for level in plan.open_levels),
-        ((0, choice[min_level]) for min_level in sub.min_levels),
+        ((0, level) for level in plan.client_levels(sub)),
     )

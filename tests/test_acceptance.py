@@ -16,7 +16,7 @@ from datamarket.datum import DatumConfig, datum_solve, step1_objective
 from datamarket.lp import lp_solve
 from datamarket.model import split_by_provider
 from datamarket.scenario import ScenarioParams, generate
-from datamarket.single_dc import reduced_open_levels_lp, solve_single_dc, solve_single_dc_bulk
+from datamarket.single_dc import reduced_open_levels_lp, solve_single_dc
 from datamarket.baselines import from_uflp
 from oracles import (
     make_subproblem,
@@ -216,7 +216,7 @@ def test_criterion_7_bulk():
             counts[-1] = 1
         bulk_fees = [F(rng.randint(0, 9)) for _ in fees]
         sub = make_subproblem(beta, fees, counts, bulk_fees=bulk_fees, contracting="bulk")
-        plan = solve_single_dc_bulk(sub)
+        plan = solve_single_dc(sub)
         top = len(fees)
         assert plan.open_levels == frozenset({top})
         assert plan.objective == beta[top - 1] + bulk_fees[top - 1]

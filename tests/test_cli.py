@@ -275,6 +275,51 @@ def test_convert_round_trip(tmp_path, capsys, instance_g):
     assert breakdown.total == 10
 
 
+def _level_dependent_market():
+    return build_instance(
+        beta=[[3, 5, "8.25"], [4, 4, 9], [2, 6, 7]],
+        fees=[1, "2.5", 4],
+        demands=[1, 2, 3, 1, 2],
+        alpha=[
+            [[1, 2, 3], [0, 1, 1], [2, 2, 5], [1, 1, 1], ["0.5", 1, 2]],
+            [[3, 1, 0], [2, 2, 2], [1, 0, 4], [0, 3, 1], [1, 1, 1]],
+            [[2, 2, 2], [1, 3, 0], [4, 1, 1], [2, 0, 2], [0, 0, 3]],
+        ],
+        level_independent=False,
+    )
+
+
+# sha256 of the `convert --to-uflp` file, sparse and --dense: a case-study
+# market (D=4, P=6, C=40, L=4, distance costs) and a level-dependent
+# explicit one.
+PINNED_UFLP = {
+    "case_study": (
+        lambda: generate(ScenarioParams(seed=1, num_data_centers=4, num_providers=6,
+                                        num_clients=40, levels_per_provider=4)),
+        "e09a68acb4c8003f9a65f6e01a69afe86cfbc4a31221c788fa2eba7c92cf5d13",
+        "4433db9606a813a2a099fda4f6da19b7d432c27c224a57b102ef9501a9fc96d3",
+    ),
+    "level_dependent": (
+        _level_dependent_market,
+        "eed43f1b3b2282544292594aada9868c3a3d73f2187f9c8389cf06e0d577ef60",
+        "183d8f91c468e93d302226eed003836f02afed6ab57b50adb17aa239722ffe5e",
+    ),
+}
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("name", list(PINNED_UFLP))
+def test_convert_to_uflp_bytes_pinned(tmp_path, capsys, name, dense):
+    make, sparse_digest, dense_digest = PINNED_UFLP[name]
+    path = write_instance(tmp_path, make())
+    out = tmp_path / "uflp.json"
+    code, _, _ = run(capsys, "convert", "--instance", path, "--to-uflp", str(out),
+                     *(["--dense"] if dense else []))
+    assert code == 0
+    digest = dense_digest if dense else sparse_digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # sha256 of compare/sweep stdout for fixed flags. Together the flag sets run
 # all five algorithms (single-dc on a one-data-center market), a Datum row
 # with mu1/mu2 set, and both sweep knobs. A change that keeps the plans and
@@ -476,6 +521,35 @@ def test_solve_mistyped_node_names_its_path(tmp_path, capsys, geo_doc, mistype, 
     code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
     assert_refused(code, stdout, err, 2)
     assert err.strip() == f"cannot read instance: {reason}"
+
+
+@pytest.mark.parametrize("mode", ["Distance", "", 3])
+def test_solve_unknown_exec_cost_mode_is_named(tmp_path, capsys, geo_doc, mode):
+    geo_doc["exec_cost"]["mode"] = mode
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert_refused(code, stdout, err, 2)
+    assert err.strip() == (
+        f"cannot read instance: exec_cost.mode: expected 'distance' or 'explicit', got {mode!r}"
+    )
+
+
+@pytest.mark.parametrize("varies", [True, False], ids=["level-dependent", "uniform"])
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_solve_level_independent_must_be_a_boolean(tmp_path, capsys, flag, varies):
+    cell = [1, 2] if varies else [1, 1]
+    inst = build_instance(
+        beta=[[3, 4]], fees=[1, 2], demands=[1, 2], alpha=[[cell, cell]], level_independent=False
+    )
+    doc = instance_to_json(inst)
+    doc["exec_cost"]["level_independent"] = flag
+    path = write_doc(tmp_path, doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "optcost")
+    assert_refused(code, stdout, err, 2)
+    assert err.strip() == (
+        "cannot read instance: exec_cost.level_independent: expected a boolean,"
+        f" got {type(flag).__name__}"
+    )
 
 
 def test_solve_missing_key_is_named(tmp_path, capsys, geo_doc):

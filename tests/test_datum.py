@@ -7,12 +7,12 @@ import pytest
 
 from conftest import build_instance
 from datamarket.baselines import opt_cost
+from datamarket.cli import run_algorithm
 from datamarket.datum import (
     CATALOG_CEILING,
     CatalogTooLarge,
     DatumConfig,
     LevelDependentCosts,
-    StepOneResult,
     build_subset_catalog_capped,
     datum_solve,
     datum_step1,
@@ -22,8 +22,8 @@ from datamarket.datum import (
 )
 from datamarket.model import split_by_provider
 from datamarket.numeric import MICROS
-from datamarket.single_dc import solve_single_dc
-from oracles import market_enumeration
+from datamarket.single_dc import SingleDcPlan, solve_single_dc
+from oracles import market_enumeration, random_market
 
 F = Fraction
 
@@ -57,16 +57,14 @@ def test_catalog_ceiling():
 def test_transformed_costs_conservative(instance_g):
     (sub,) = split_by_provider(instance_g)
     catalog = build_subset_catalog_capped(sub, max_replicas=2)
-    tc = transformed_costs(catalog, sub)
-    assert tc.beta_star == (F(5),)
+    assert transformed_costs(catalog, sub) == (F(5),)
 
 
 def test_transformed_costs_mu1_counts_delivery(instance_g):
     # A subset's score adds its delivery costs: min(5+4, 7+1, 12+1) = 8.
     (sub,) = split_by_provider(instance_g)
     catalog = build_subset_catalog_capped(sub, max_replicas=2)
-    tc = transformed_costs(catalog, sub, mu1=F(1), mu2=F(0))
-    assert tc.beta_star == (F(8),)
+    assert transformed_costs(catalog, sub, mu1=F(1), mu2=F(0)) == (F(8),)
 
 
 def test_transformed_costs_mu1_zero_is_singleton_min():
@@ -77,8 +75,7 @@ def test_transformed_costs_mu1_zero_is_singleton_min():
         inst = build_instance(beta=beta, fees=[1], demands=[1], alpha=[[0]] * num_dcs)
         (sub,) = split_by_provider(inst)
         catalog = build_subset_catalog_capped(sub, max_replicas=num_dcs)
-        tc = transformed_costs(catalog, sub)
-        assert tc.beta_star[0] == min(row[0] for row in beta)
+        assert transformed_costs(catalog, sub)[0] == min(row[0] for row in beta)
 
 
 def test_step1_single_level(instance_g):
@@ -86,8 +83,8 @@ def test_step1_single_level(instance_g):
     catalog = build_subset_catalog_capped(sub, max_replicas=2)
     s1 = datum_step1(sub, transformed_costs(catalog, sub))
     assert s1.open_levels == frozenset({1})
-    assert s1.client_levels == (1,)
-    assert s1.level_group(1) == (0,)
+    assert s1.client_levels(sub) == (1,)
+    assert [c for c, l in enumerate(s1.client_levels(sub)) if l == 1] == [0]
 
 
 def test_step1_matches_single_dc_on_one_dc(instance_a, instance_b):
@@ -104,15 +101,17 @@ def test_step2_places_at_argmin(instance_g):
     (sub,) = split_by_provider(instance_g)
     catalog = build_subset_catalog_capped(sub, max_replicas=2)
     s1 = datum_step1(sub, transformed_costs(catalog, sub))
-    jp = datum_step2(sub, catalog, s1)
-    assert jp.placements == ((1, (1,)),)
+    assert datum_step2(sub, catalog, s1) == ((1, (1,)),)
 
 
-def test_step2_empty_group_uses_cheapest_subset(instance_g):
-    (sub,) = split_by_provider(instance_g)
+def test_step2_empty_group_uses_cheapest_subset():
+    # Level 1 is open but serves nobody: it goes to the cheapest subset,
+    # {dc1}, while the only client's level 2 goes to {dc2} (7+1 < 5+4).
+    inst = build_instance(beta=[[5, 5], [7, 7]], fees=[2, 3], demands=[2], alpha=[[4], [1]])
+    (sub,) = split_by_provider(inst)
     catalog = build_subset_catalog_capped(sub, max_replicas=2)
-    jp = datum_step2(sub, catalog, StepOneResult(frozenset({1}), ()))
-    assert jp.placements == ((1, (0,)),)
+    s1 = SingleDcPlan(frozenset({1, 2}), ((2, 2),), F(0))
+    assert datum_step2(sub, catalog, s1) == ((1, (0,)), (2, (1,)))
 
 
 def test_datum_solve_instance_g(instance_g):
@@ -201,10 +200,9 @@ def test_step2_is_optimal_given_step1():
         (sub,) = split_by_provider(inst)
         catalog = build_subset_catalog_capped(sub, max_replicas=num_dcs)
         s1 = datum_step1(sub, transformed_costs(catalog, sub))
-        jp = datum_step2(sub, catalog, s1)
-        chosen = dict(jp.placements)
+        chosen = dict(datum_step2(sub, catalog, s1))
         for level in s1.open_levels:
-            group = s1.level_group(level)
+            group = [c for c, l in enumerate(s1.client_levels(sub)) if l == level]
             scores = []
             for k, subset in enumerate(catalog.subsets):
                 score = catalog.beta_v[k][level - 1]
@@ -273,3 +271,24 @@ def test_bulk_matches_exhaustive_when_top_level_demanded():
         )
         plan, breakdown = datum_solve(inst, DatumConfig(max_replicas=num_dcs))
         assert breakdown.total == market_enumeration(inst)
+
+
+@pytest.mark.parametrize("bulk", [False, True], ids=["per-query", "bulk"])
+def test_one_data_center_datum_plan_is_single_dc_plan(bulk):
+    # On one data center Datum's Step 1 is the single-data-center solver and
+    # Step 2 has one place to put each level, so the plans are the same.
+    rng = random.Random(0x1DC + bulk)
+    for _ in range(150):
+        inst = random_market(
+            rng,
+            max_providers=3,
+            max_dcs=1,
+            max_levels=5,
+            max_clients=10,
+            bulk=bulk,
+            level_independent_beta=bulk,
+            force_top_demand=bulk,
+        )
+        assert run_algorithm(inst, "datum", DatumConfig()) == run_algorithm(
+            inst, "single-dc", DatumConfig()
+        )

@@ -12,7 +12,6 @@ from datamarket.single_dc import (
     categorize,
     lower_single_dc_plan,
     solve_single_dc,
-    solve_single_dc_bulk,
 )
 from oracles import breakpoints, make_subproblem, reconstruct_choices, single_dc_brute_force
 
@@ -195,22 +194,24 @@ def test_fractional_recovery_path():
 
 
 def test_bulk_buys_top_level_only(instance_a):
-    sub = make_subproblem([F(10), F(12)], [F(1), F(3)], [3, 1], bulk_fees=[F(1), F(3)])
-    plan = solve_single_dc_bulk(sub)
+    sub = make_subproblem(
+        [F(10), F(12)], [F(1), F(3)], [3, 1], bulk_fees=[F(1), F(3)], contracting="bulk"
+    )
+    plan = solve_single_dc(sub)
     assert plan.open_levels == frozenset({2})
     assert plan.objective == 15  # beta(2) + bulk_fee(2) = 12 + 3
     assert plan.choice_map() == {1: 2, 2: 2}
 
 
 def test_bulk_single_level():
-    sub = make_subproblem([F(10)], [F(1)], [2], bulk_fees=[F(4)])
-    plan = solve_single_dc_bulk(sub)
+    sub = make_subproblem([F(10)], [F(1)], [2], bulk_fees=[F(4)], contracting="bulk")
+    plan = solve_single_dc(sub)
     assert plan.open_levels == frozenset({1})
     assert plan.objective == 14
 
 
 def test_bulk_empty():
-    sub = make_subproblem([F(10)], [F(1)], [0], bulk_fees=[F(4)])
-    plan = solve_single_dc_bulk(sub)
+    sub = make_subproblem([F(10)], [F(1)], [0], bulk_fees=[F(4)], contracting="bulk")
+    plan = solve_single_dc(sub)
     assert plan.open_levels == frozenset()
     assert plan.objective == 0
