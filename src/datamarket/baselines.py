@@ -36,6 +36,7 @@ from datamarket.model import (
     Provider,
     ProviderSubproblem,
     QualityLevel,
+    distance_table,
     evaluate_cost,
     split_by_provider,
 )
@@ -241,12 +242,13 @@ def _cheapest_homes(sub: ProviderSubproblem) -> dict[int, int]:
 
 def _exhaustive(instance: MarketInstance, minimize_band_only: bool):
     budget = _support_budget()
+    distances = distance_table(instance)
     plan = Plan.union(
         _search_provider(sub, minimize_band_only, budget)
-        for sub in split_by_provider(instance)
+        for sub in split_by_provider(instance, distances)
         if sub.client_ids
     )
-    return plan, evaluate_cost(instance, plan)
+    return plan, evaluate_cost(instance, plan, distances)
 
 
 def opt_cost(instance: MarketInstance) -> tuple[Plan, CostBreakdown]:
@@ -266,10 +268,13 @@ def nearest_dc(instance: MarketInstance) -> tuple[Plan, CostBreakdown]:
     """Greedy: serve clients exactly what they ask for, storing each demanded
     level at the data center with the cheapest provider transfer (lowest id
     on ties)."""
+    distances = distance_table(instance)
     plan = Plan.union(
-        _nearest_dc_provider(sub) for sub in split_by_provider(instance) if sub.client_ids
+        _nearest_dc_provider(sub)
+        for sub in split_by_provider(instance, distances)
+        if sub.client_ids
     )
-    return plan, evaluate_cost(instance, plan)
+    return plan, evaluate_cost(instance, plan, distances)
 
 
 def _nearest_dc_provider(sub: ProviderSubproblem) -> Plan:

@@ -45,6 +45,7 @@ from datamarket.model import (
     DatamarketError,
     MarketInstance,
     Plan,
+    distance_table,
     dump_instance,
     evaluate_cost,
     instance_to_json,
@@ -106,12 +107,13 @@ def run_algorithm(instance: MarketInstance, name: str, config: DatumConfig):
     if name == "single-dc":
         if len(instance.data_centers) != 1:
             raise DatamarketError("--algorithm single-dc needs a one-data-center instance")
+        distances = distance_table(instance)
         plan = Plan.union(
             lower_single_dc_plan(sub, solve_single_dc(sub))
-            for sub in split_by_provider(instance)
+            for sub in split_by_provider(instance, distances)
             if sub.client_ids
         )
-        return plan, evaluate_cost(instance, plan)
+        return plan, evaluate_cost(instance, plan, distances)
     raise UnknownAlgorithm(repr(name))
 
 

@@ -29,7 +29,9 @@ from datamarket.model import (
     MarketInstance,
     Plan,
     ProviderSubproblem,
+    distance_table,
     evaluate_cost,
+    gather,
     split_by_provider,
 )
 from datamarket.numeric import MICROS, quantize
@@ -163,10 +165,10 @@ def datum_step2(sub: ProviderSubproblem, catalog: SubsetCatalog, s1: SingleDcPla
     placements = []
     for level in sorted(s1.open_levels):
         group = [c for c, l in enumerate(client_levels) if l == level]
-        scores = [
-            beta[level - 1] + sum(alpha[c] for c in group)
-            for beta, alpha in zip(catalog.beta_v, catalog.alpha_vc)
-        ]
+        rows = catalog.alpha_vc
+        if len(group) < len(client_levels):
+            rows = map(gather(group), rows)
+        scores = [beta[level - 1] + sum(alpha) for beta, alpha in zip(catalog.beta_v, rows)]
         _, _, best = min(zip(scores, map(len, catalog.subsets), catalog.subsets))
         placements.append((level, best))
     return tuple(placements)
@@ -214,10 +216,13 @@ def datum_solve(
     """Run the per-provider pipeline, under either contracting mode, and
     price the merged plan."""
     config = config or DatumConfig()
+    distances = distance_table(instance)
     plan = Plan.union(
-        _solve_provider(sub, config) for sub in split_by_provider(instance) if sub.client_ids
+        _solve_provider(sub, config)
+        for sub in split_by_provider(instance, distances)
+        if sub.client_ids
     )
-    return plan, evaluate_cost(instance, plan)
+    return plan, evaluate_cost(instance, plan, distances)
 
 
 def step1_objective(

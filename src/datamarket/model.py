@@ -18,12 +18,13 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from datamarket.numeric import (
     MICROS,
     distance_cost,
-    distance_micros,
+    distance_grid,
     format_money,
     to_micros,
     to_rational,
@@ -436,7 +437,9 @@ def _validate_exec_model(instance: MarketInstance) -> list[str]:
     return problems
 
 
-def split_by_provider(instance: MarketInstance) -> list[ProviderSubproblem]:
+def split_by_provider(
+    instance: MarketInstance, distances: list[list[int]] | None = None
+) -> list[ProviderSubproblem]:
     """Decouple the instance into one independent subproblem per provider.
 
     Each subproblem carries only the clients demanding that provider, in
@@ -445,9 +448,10 @@ def split_by_provider(instance: MarketInstance) -> list[ProviderSubproblem]:
     costs solves the joint problem.
 
     Each distinct execution cost is converted once: distance costs form one
-    data-center-by-client table over all clients, and a level-independent
-    explicit tensor is read at its first level only; then every level of a
-    subproblem holds the same table.
+    data-center-by-client table over all clients (distances, the solve's
+    distance_table, or one built here when it is not given), and a
+    level-independent explicit tensor is read at its first level only; then
+    every level of a subproblem holds the same table.
     """
     providers = {p.id: p for p in instance.providers}
     members: dict[str, list[int]] = {pid: [] for pid in providers}
@@ -466,7 +470,7 @@ def split_by_provider(instance: MarketInstance) -> list[ProviderSubproblem]:
 
     model = instance.exec_cost
     if model.mode == "distance":
-        shared = _distance_table(instance)
+        shared = distances if distances is not None else distance_table(instance)
     else:
         tensors = model.alpha_map()
     dc_ids = tuple(d.id for d in instance.data_centers)
@@ -474,7 +478,7 @@ def split_by_provider(instance: MarketInstance) -> list[ProviderSubproblem]:
     for p in instance.providers:
         member_idx = members[p.id]
         if model.mode == "distance":
-            alpha = (tuple(tuple(row[ci] for ci in member_idx) for row in shared),) * p.num_levels
+            alpha = (tuple(map(gather(member_idx), shared)),) * p.num_levels
         elif model.level_independent:
             table = tuple(
                 tuple(to_micros(row[ci][0]) for ci in member_idx) for row in tensors[p.id]
@@ -501,17 +505,33 @@ def split_by_provider(instance: MarketInstance) -> list[ProviderSubproblem]:
     return subproblems
 
 
-def _distance_table(instance: MarketInstance) -> list[list[int]]:
-    """Distance execution costs in micro-units, [d][c] over all clients."""
-    rate = instance.exec_cost.rate_per_gigameter
-    assert rate is not None
+def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function taking a row to the tuple of its entries at indices, in
+    order; the gather runs in C (operator.itemgetter)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (only,) = indices
+        return lambda row: (row[only],)
+    return lambda row: ()
+
+
+def distance_table(instance: MarketInstance) -> list[list[int]] | None:
+    """Distance execution costs in micro-units, [d][c] over all clients, or
+    None when execution costs are explicit.
+
+    A solver builds it once per solve and hands it to both split_by_provider
+    and evaluate_cost.
+    """
+    model = instance.exec_cost
+    if model.mode != "distance":
+        return None
+    assert model.rate_per_gigameter is not None
     locations = [c.location for c in instance.clients]
-    if None in locations or any(dc.location is None for dc in instance.data_centers):
+    dc_locations = [dc.location for dc in instance.data_centers]
+    if None in locations or None in dc_locations:
         raise ValueError("distance-based execution costs require coordinates")
-    return [
-        [distance_micros(*dc.location, *loc, rate) for loc in locations]
-        for dc in instance.data_centers
-    ]
+    return distance_grid(dc_locations, locations, model.rate_per_gigameter)
 
 
 def check_plan(instance: MarketInstance, plan: Plan) -> None:
@@ -563,16 +583,22 @@ def check_plan(instance: MarketInstance, plan: Plan) -> None:
         )
 
 
-def evaluate_cost(instance: MarketInstance, plan: Plan) -> CostBreakdown:
+def evaluate_cost(
+    instance: MarketInstance, plan: Plan, distances: list[list[int]] | None = None
+) -> CostBreakdown:
     """Price a feasible plan exactly.
 
     Operation cost sums beta over placements; execution cost sums alpha over
     assignments; purchasing cost charges the per-query fee once per
     assignment, or the bulk fee once per purchased (provider, level).
 
-    Execution costs are read from one table per call (the distance table, or
-    the explicit tensors) and summed in micro-units. The price never reads a
-    ProviderSubproblem, so it stays an independent check on the solvers.
+    Execution costs are read from one table per call and summed in
+    micro-units: the explicit tensors, or the distance table (distances, the
+    solve's distance_table, or one built here when it is not given). The
+    price never reads a ProviderSubproblem and check_plan checks the plan
+    against the instance, so it stays a check on the solvers when it shares
+    their distance table; the tests' oracle prices from the Fraction
+    distance formula instead.
     """
     check_plan(instance, plan)
     providers = {p.id: p for p in instance.providers}
@@ -584,7 +610,7 @@ def evaluate_cost(instance: MarketInstance, plan: Plan) -> CostBreakdown:
         oper += providers[provider_id].oper_cost[dc_index[dc_id]][level - 1]
 
     if instance.exec_cost.mode == "distance":
-        table = _distance_table(instance)
+        table = distances if distances is not None else distance_table(instance)
         exec_micros = sum(
             table[dc_index[dc_id]][client_index[client_id]]
             for _, client_id, dc_id, _ in plan.assignments

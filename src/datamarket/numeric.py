@@ -18,13 +18,21 @@ exact forms:
 to_micros converts from the first form to the second and refuses any value
 that is not a whole number of quanta. Distance costs are rounded once, in
 ints (distance_micros); distance_cost is the same value as a Fraction.
+
+The haversine comes in two steps. The per-point step (geo_point) turns a
+(latitude, longitude) into radians and the cosine of the latitude; the
+per-pair step (point_gigameters, and pair_micros, which rounds its product
+with the rate) does the rest. distance_micros composes them for one pair;
+distance_grid runs the per-point step once per point and the per-pair step
+once per cell, with identical floats and so identical micro-units.
 """
 
 from __future__ import annotations
 
-import math
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from fractions import Fraction
+from math import asin, cos, radians, sin, sqrt
+from typing import Sequence
 
 QUANTUM_PLACES = 6
 QUANTUM = Fraction(1, 10**QUANTUM_PLACES)
@@ -106,28 +114,68 @@ def format_money(value: Fraction) -> str:
     return f"{sign}{units // MICROS}.{units % MICROS:0{QUANTUM_PLACES}d}"
 
 
+def geo_point(lat: float, lon: float) -> tuple[float, float, float]:
+    """The haversine's per-point step: latitude and longitude in radians,
+    and the cosine of the latitude."""
+    phi = radians(lat)
+    return phi, radians(lon), cos(phi)
+
+
+def point_gigameters(p: tuple[float, float, float], q: tuple[float, float, float]) -> float:
+    """The haversine's per-pair step: great-circle distance between two
+    geo_points, in gigameters (1e6 km)."""
+    phi1, lam1, cos1 = p
+    phi2, lam2, cos2 = q
+    a = sin((phi2 - phi1) / 2) ** 2 + cos1 * cos2 * sin((lam2 - lam1) / 2) ** 2
+    km = 2 * EARTH_RADIUS_KM * asin(sqrt(a))
+    return km / 1e6
+
+
 def haversine_gigameters(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance between two points, in gigameters (1e6 km)."""
-    phi1, lam1, phi2, lam2 = map(math.radians, (lat1, lon1, lat2, lon2))
-    dphi = phi2 - phi1
-    dlam = lam2 - lam1
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
-    km = 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
-    return km / 1e6
+    return point_gigameters(geo_point(lat1, lon1), geo_point(lat2, lon2))
+
+
+def pair_micros(
+    p: tuple[float, float, float], q: tuple[float, float, float], rate_num: int, rate_den: int
+) -> int:
+    """Distance-proportional transfer cost between two geo_points in
+    micro-units: haversine gigameters (a float, so an exact ratio of ints)
+    times the rate rate_num / rate_den, rounded once to a whole micro-unit,
+    ties to even."""
+    num, den = point_gigameters(p, q).as_integer_ratio()
+    den *= rate_den
+    micros, rem = divmod(num * rate_num * MICROS, den)
+    if 2 * rem > den or (2 * rem == den and micros % 2):
+        micros += 1
+    return micros
 
 
 def distance_micros(
     lat1: float, lon1: float, lat2: float, lon2: float, rate_per_gigameter: Fraction
 ) -> int:
-    """Distance-proportional transfer cost in micro-units: haversine
-    gigameters (a float, so an exact ratio of ints) times the rate, rounded
-    once to a whole micro-unit, ties to even."""
-    num, den = haversine_gigameters(lat1, lon1, lat2, lon2).as_integer_ratio()
-    den *= rate_per_gigameter.denominator
-    micros, rem = divmod(num * rate_per_gigameter.numerator * MICROS, den)
-    if 2 * rem > den or (2 * rem == den and micros % 2):
-        micros += 1
-    return micros
+    """pair_micros of two (latitude, longitude) points."""
+    return pair_micros(
+        geo_point(lat1, lon1),
+        geo_point(lat2, lon2),
+        rate_per_gigameter.numerator,
+        rate_per_gigameter.denominator,
+    )
+
+
+def distance_grid(
+    origins: Sequence[tuple[float, float]],
+    targets: Sequence[tuple[float, float]],
+    rate_per_gigameter: Fraction,
+) -> list[list[int]]:
+    """distance_micros of every (origin, target) pair, [origin][target]:
+    the per-point step once per point, the per-pair step once per cell."""
+    num, den = rate_per_gigameter.numerator, rate_per_gigameter.denominator
+    points = [geo_point(*t) for t in targets]
+    return [
+        [pair_micros(p, q, num, den) for q in points]
+        for p in (geo_point(*o) for o in origins)
+    ]
 
 
 def distance_cost(

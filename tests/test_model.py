@@ -10,13 +10,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_instance
+from datamarket.cli import ALGORITHMS, run_algorithm
+from datamarket.datum import DatumConfig
 from datamarket.model import (
+    Client,
+    DataCenter,
     ExecCostModel,
     InfeasiblePlan,
+    MarketInstance,
     Plan,
     Provider,
     QualityLevel,
     UnsatisfiableDemand,
+    distance_table,
     evaluate_cost,
     exec_cost_value,
     instance_from_json,
@@ -451,25 +457,31 @@ def test_split_tables_are_exact_micro_units():
         _assert_tables_exact(_with_level_dependent_alpha(inst, rng))
 
 
-def test_split_computes_each_distance_once(monkeypatch):
-    import datamarket.model as model
+def count_pair_kernel(monkeypatch) -> list[int]:
+    """Count evaluations of numeric.pair_micros, the per-pair step of every
+    distance cost; the returned one-element list holds the running count."""
+    import datamarket.numeric as numeric
 
+    calls = [0]
+    original = numeric.pair_micros
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(numeric, "pair_micros", counting)
+    return calls
+
+
+def test_split_computes_each_distance_once(monkeypatch):
     inst = generate(
         ScenarioParams(
             seed=2, num_data_centers=4, num_providers=5, num_clients=30, levels_per_provider=4
         )
     )
-    calls = 0
-    original = model.distance_micros
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(model, "distance_micros", counting)
+    calls = count_pair_kernel(monkeypatch)
     split_by_provider(inst)
-    assert 0 < calls <= len(inst.data_centers) * len(inst.clients)
+    assert 0 < calls[0] <= len(inst.data_centers) * len(inst.clients)
 
 
 def test_split_resolves_each_distinct_quality_once(monkeypatch):
@@ -507,7 +519,6 @@ def test_split_keeps_client_order_and_first_demand():
 
 
 def test_evaluate_computes_each_distance_once(monkeypatch):
-    import datamarket.model as model
     from datamarket.baselines import nearest_dc
 
     inst = generate(
@@ -516,17 +527,9 @@ def test_evaluate_computes_each_distance_once(monkeypatch):
         )
     )
     plan, expected = nearest_dc(inst)
-    calls = 0
-    original = model.distance_micros
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(model, "distance_micros", counting)
+    calls = count_pair_kernel(monkeypatch)
     assert evaluate_cost(inst, plan) == expected
-    assert 0 < calls <= len(inst.data_centers) * len(inst.clients)
+    assert 0 < calls[0] <= len(inst.data_centers) * len(inst.clients)
 
 
 # --- int pricing against the per-assignment Fraction formulas --------------
@@ -556,6 +559,81 @@ def test_distance_micros_matches_fraction_formula(a, b, rate_micros, tie, same_p
     expected = distance_cost_oracle(*a, *b, rate)
     assert distance_micros(*a, *b, rate) == expected * MICROS
     assert distance_cost(*a, *b, rate) == expected
+
+
+# Poles, the antimeridian from both sides, and the origin.
+EDGE_POINTS = st.sampled_from(
+    [(90.0, 0.0), (-90.0, 0.0), (90.0, 180.0), (-90.0, -180.0), (0.0, 180.0),
+     (0.0, -180.0), (45.0, 180.0), (45.0, -180.0), (0.0, 0.0)]
+)
+POINTS = EDGE_POINTS | COORDINATES
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    dcs=st.lists(POINTS, min_size=1, max_size=4),
+    clients=st.lists(POINTS, min_size=1, max_size=6),
+    rate_micros=st.sampled_from([0]) | st.integers(0, 10**12),
+    tie=st.none() | st.integers(0, 10**9),
+    coincident=st.booleans(),
+)
+def test_distance_table_matches_per_cell_formulas(dcs, clients, rate_micros, tie, coincident):
+    if coincident:
+        clients = [dcs[-1], *clients]
+    rate = F(rate_micros, MICROS)
+    dist = F(haversine_gigameters(*dcs[0], *clients[0]))
+    if tie is not None and dist:
+        # Cell [0][0] is an exact half-quantum product; odd and even ties both occur.
+        rate = F(2 * tie + 1, 2) / (dist * MICROS)
+    inst = MarketInstance(
+        providers=(),
+        data_centers=tuple(DataCenter(f"d{i}", loc) for i, loc in enumerate(dcs)),
+        clients=tuple(Client(f"c{i}", (), loc) for i, loc in enumerate(clients)),
+        exec_cost=ExecCostModel(mode="distance", rate_per_gigameter=rate),
+    )
+    table = distance_table(inst)
+    assert table == [[distance_micros(*d, *c, rate) for c in clients] for d in dcs]
+    assert table == [[distance_cost_oracle(*d, *c, rate) * MICROS for c in clients] for d in dcs]
+
+
+def test_distance_table_is_none_for_explicit_costs(instance_g):
+    assert distance_table(instance_g) is None
+
+
+def _case_study(seed: int, num_dcs: int = 4) -> MarketInstance:
+    return generate(
+        ScenarioParams(
+            seed=seed, num_data_centers=num_dcs, num_providers=6, num_clients=40,
+            levels_per_provider=4,
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "algorithm, num_dcs",
+    [("datum", 4), ("nearestdc", 4), ("optcost", 4), ("optband", 4), ("single-dc", 1)],
+)
+def test_one_solve_prices_each_distance_once(monkeypatch, algorithm, num_dcs):
+    inst = _case_study(1, num_dcs)
+    calls = count_pair_kernel(monkeypatch)
+    run_algorithm(inst, algorithm, DatumConfig())
+    assert 0 < calls[0] <= num_dcs * len(inst.clients)
+
+
+@pytest.mark.parametrize("seed, num_dcs", [(1, 4), (2, 4), (3, 4), (1, 1)])
+def test_evaluate_with_the_shared_table_equals_the_oracle(seed, num_dcs):
+    inst = _case_study(seed, num_dcs)
+    distances = distance_table(inst)
+    for algorithm in ALGORITHMS:
+        if algorithm == "single-dc" and num_dcs > 1:
+            continue
+        plan, breakdown = run_algorithm(inst, algorithm, DatumConfig())
+        assert (
+            breakdown
+            == evaluate_cost(inst, plan, distances)
+            == evaluate_cost(inst, plan)
+            == evaluate_cost_oracle(inst, plan)
+        )
 
 
 def _with_bulk_fees(instance, rng):
