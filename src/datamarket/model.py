@@ -456,15 +456,17 @@ def split_by_provider(
     providers = {p.id: p for p in instance.providers}
     members: dict[str, list[int]] = {pid: [] for pid in providers}
     min_levels: dict[str, list[int]] = {pid: [] for pid in providers}
-    level_of: dict[str, dict[Fraction, int]] = {pid: {} for pid in providers}
+    # Keyed on the demand's (numerator, denominator), which hashes in C.
+    level_of: dict[str, dict[tuple[int, int], int]] = {pid: {} for pid in providers}
     for ci, c in enumerate(instance.clients):
         for provider_id, w in c.demands:
             member_idx = members.get(provider_id)
             if member_idx is None or (member_idx and member_idx[-1] == ci):
                 continue  # not a provider here, or a second demand on it
-            level = level_of[provider_id].get(w)
+            ratio = w.as_integer_ratio()
+            level = level_of[provider_id].get(ratio)
             if level is None:
-                level = level_of[provider_id][w] = min_level_index(providers[provider_id], w)
+                level = level_of[provider_id][ratio] = min_level_index(providers[provider_id], w)
             member_idx.append(ci)
             min_levels[provider_id].append(level)
 
@@ -534,8 +536,37 @@ def distance_table(instance: MarketInstance) -> list[list[int]] | None:
     return distance_grid(dc_locations, locations, model.rate_per_gigameter)
 
 
+# Projections of a (provider, client, data center, level) assignment.
+_CLIENT_PROVIDER = itemgetter(1, 0)
+_LEVEL = itemgetter(3)
+_PLACEMENT = itemgetter(0, 2, 3)
+
+
+def _raise_first_bad_assignment(plan: Plan) -> None:
+    """Raise InfeasiblePlan for the first assignment, in iteration order,
+    that is served from an unplaced copy or repeats a (client, provider)."""
+    seen: set[tuple[str, str]] = set()
+    for provider_id, client_id, dc_id, level in plan.assignments:
+        if (provider_id, dc_id, level) not in plan.placements:
+            raise InfeasiblePlan(
+                f"assignment ({provider_id}, {client_id}) served from unplaced"
+                f" ({dc_id}, level {level})"
+            )
+        key = (client_id, provider_id)
+        if key in seen:
+            raise InfeasiblePlan(f"client {client_id} assigned twice for provider {provider_id}")
+        seen.add(key)
+
+
 def check_plan(instance: MarketInstance, plan: Plan) -> None:
-    """Raise InfeasiblePlan naming the first violated feasibility constraint."""
+    """Raise InfeasiblePlan naming the first violated feasibility constraint.
+
+    The constraints are checked in a fixed order: purchases, placements,
+    assignments, each client's demands in instance order, then assignments
+    no client demands. Demands are checked against the plan's levels with
+    the instance's qualities, never through a ProviderSubproblem, so the
+    check stays independent of split_by_provider.
+    """
     providers = {p.id: p for p in instance.providers}
     dc_ids = {d.id for d in instance.data_centers}
 
@@ -554,30 +585,32 @@ def check_plan(instance: MarketInstance, plan: Plan) -> None:
                 f"placement ({provider_id}, {dc_id}, {level}) without bulk purchase"
             )
 
-    seen: dict[tuple[str, str], tuple[str, int]] = {}
-    for provider_id, client_id, dc_id, level in plan.assignments:
-        if (provider_id, dc_id, level) not in plan.placements:
-            raise InfeasiblePlan(
-                f"assignment ({provider_id}, {client_id}) served from unplaced"
-                f" ({dc_id}, level {level})"
-            )
-        key = (client_id, provider_id)
-        if key in seen:
-            raise InfeasiblePlan(f"client {client_id} assigned twice for provider {provider_id}")
-        seen[key] = (dc_id, level)
+    # Every assignment served from a placement, each (client, provider) once:
+    # whole-set checks in C, then a walk naming the first offender.
+    assignments = plan.assignments
+    served = dict(zip(map(_CLIENT_PROVIDER, assignments), map(_LEVEL, assignments)))
+    if len(served) != len(assignments) or not plan.placements.issuperset(
+        map(_PLACEMENT, assignments)
+    ):
+        _raise_first_bad_assignment(plan)
 
+    # quality(level) < w once per distinct (provider, level, demand ratio).
+    below: dict[tuple[str, int, tuple[int, int]], bool] = {}
     for c in instance.clients:
         for provider_id, w in c.demands:
-            assigned = seen.pop((c.id, provider_id), None)
-            if assigned is None:
+            level = served.pop((c.id, provider_id), None)
+            if level is None:
                 raise InfeasiblePlan(f"client {c.id} not served for provider {provider_id}")
-            _, level = assigned
-            if providers[provider_id].quality(level) < w:
+            key = (provider_id, level, w.as_integer_ratio())
+            short = below.get(key)
+            if short is None:
+                short = below[key] = providers[provider_id].quality(level) < w
+            if short:
                 raise InfeasiblePlan(
                     f"client {c.id} served level {level} below demand on provider {provider_id}"
                 )
-    if seen:
-        (client_id, provider_id), _ = next(iter(seen.items()))
+    if served:
+        client_id, provider_id = next(iter(served))
         raise InfeasiblePlan(
             f"client {client_id} assigned for provider {provider_id} it does not demand"
         )

@@ -16,8 +16,15 @@ exact forms:
   depend on the level, every level shares one table.
 
 to_micros converts from the first form to the second and refuses any value
-that is not a whole number of quanta. Distance costs are rounded once, in
-ints (distance_micros); distance_cost is the same value as a Fraction.
+that is not a whole number of quanta. Distance costs are rounded once, to
+the nearest micro-unit of the exact product of the float haversine and the
+rate (distance_micros); distance_cost is the same value as a Fraction.
+That rounding takes one of two routes. A float estimate of the product,
+within a relative 2**-51 of it, picks the integer where its distance from
+the nearest half-micro exceeds the bound (with a margin), which proves
+that integer is the exact rounding; every other case (a tie or near-tie,
+a product of 2**47 micro-units or more, a scale that overflows a float, a
+negative product) runs the exact int route. Both give the same int.
 
 The haversine comes in two steps. The per-point step (geo_point) turns a
 (latitude, longitude) into radians and the cosine of the latitude; the
@@ -29,24 +36,35 @@ once per cell, with identical floats and so identical micro-units.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
-from math import asin, cos, radians, sin, sqrt
+from math import asin, cos, inf, radians, sin, sqrt
 from typing import Sequence
 
 QUANTUM_PLACES = 6
 QUANTUM = Fraction(1, 10**QUANTUM_PLACES)
 MICROS = 10**QUANTUM_PLACES
 
+# The most integer digits a decimal value may have: every finite float is
+# below 1e309. Larger values are refused rather than quantized.
+MAX_INTEGER_DIGITS = 309
+
 EARTH_RADIUS_KM = 6371.0
+
+# pair_micros's float route: the relative error allowance 2**-48, eight times
+# the route's bound of 2**-51, and the products it serves, those below 2**47
+# micro-units, where that allowance stays under half a micro.
+_FLOAT_ROUTE_LIMIT = 2.0**47
+_FLOAT_ROUTE_SLACK = 2.0**-48
 
 
 def to_rational(value: str | int | float | Fraction | Decimal) -> Fraction:
     """Convert an external numeric value to an exact Fraction.
 
     Strings and floats are read as decimals and quantized to 1e-6
-    (round-half-even). Ints and Fractions pass through unchanged. A bool is
-    refused, although Python counts it as an int.
+    (round-half-even); a value with more than MAX_INTEGER_DIGITS integer
+    digits, an infinity or a NaN is refused. Ints and Fractions pass through
+    unchanged. A bool is refused, although Python counts it as an int.
     """
     if isinstance(value, bool):
         raise TypeError("cannot convert bool to a rational")
@@ -66,9 +84,19 @@ def to_rational(value: str | int | float | Fraction | Decimal) -> Fraction:
         try:
             quantized = dec.quantize(Decimal(1).scaleb(-QUANTUM_PLACES), rounding=ROUND_HALF_EVEN)
         except InvalidOperation as exc:
-            raise ValueError(
-                f"not a finite decimal number: {value!r} (outside the quantizable range)"
-            ) from exc
+            # Beyond the default 28 digits: retry with enough precision for
+            # the integer digits, the quantum places and a carry, up to
+            # MAX_INTEGER_DIGITS.
+            digits = dec.adjusted() + 1
+            if digits > MAX_INTEGER_DIGITS:
+                raise ValueError(
+                    f"not a finite decimal number: {value!r} (outside the quantizable range)"
+                ) from exc
+            with localcontext() as ctx:
+                ctx.prec = digits + QUANTUM_PLACES + 1
+                quantized = dec.quantize(
+                    Decimal(1).scaleb(-QUANTUM_PLACES), rounding=ROUND_HALF_EVEN
+                )
         return Fraction(quantized)
     raise TypeError(f"cannot convert {type(value).__name__} to a rational")
 
@@ -142,8 +170,28 @@ def pair_micros(
     """Distance-proportional transfer cost between two geo_points in
     micro-units: haversine gigameters (a float, so an exact ratio of ints)
     times the rate rate_num / rate_den, rounded once to a whole micro-unit,
-    ties to even."""
-    num, den = point_gigameters(p, q).as_integer_ratio()
+    ties to even.
+
+    Two routes give that one int. The float route computes
+    y = gigameters * (rate_num * MICROS / rate_den); the int division rounds
+    correctly, so y is within y * 2**-51 of the exact product (within
+    2**-1073 where a step underflows to a subnormal float). When
+    |y - round(y)| < 0.5 - y * 2**-48, no half-micro lies within that error
+    of y, so round(y) is the exact rounding and is returned. Every other
+    case (a tie or near-tie, a product of 2**47 micro-units or more, a
+    scale too large for a float, a negative product) takes the exact int
+    route: the ratio of ints, divmod, ties to even.
+    """
+    gm = point_gigameters(p, q)
+    try:
+        y = gm * (rate_num * MICROS / rate_den)
+    except OverflowError:
+        y = inf
+    if 0.0 <= y < _FLOAT_ROUTE_LIMIT:
+        micros = round(y)
+        if abs(y - micros) < 0.5 - y * _FLOAT_ROUTE_SLACK:
+            return micros
+    num, den = gm.as_integer_ratio()
     den *= rate_den
     micros, rem = divmod(num * rate_num * MICROS, den)
     if 2 * rem > den or (2 * rem == den and micros % 2):

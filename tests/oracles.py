@@ -4,8 +4,9 @@ Everything here is deliberately dumb and shares no code with the library
 paths it checks: exhaustive subset enumeration for market optima and UFLP,
 the exhaustive support search with no bound but the per-client floor (the
 plan the library's bounded search must keep), vertex enumeration for small
-LPs, direct evaluation of category programs, and the per-assignment
-Fraction price with its Fraction distance formula.
+LPs, direct evaluation of category programs, the per-assignment
+Fraction price with its Fraction distance formula, and the feasibility
+check with a Fraction comparison per demand.
 The exceptions are `DenseTableau`, the library's simplex tableau with its
 pivot swapped for the dense loop, which checks that the sparse pivot takes
 the same steps, and `breakpoints`, which builds the `Breakpoints` that
@@ -30,9 +31,9 @@ from datamarket.model import (
     Plan,
     Provider,
     ProviderSubproblem,
+    InfeasiblePlan,
     QualityLevel,
     UnsatisfiableDemand,
-    check_plan,
     exec_cost_value,
     split_by_provider,
 )
@@ -91,10 +92,61 @@ def exec_cost_oracle(instance: MarketInstance, provider_id, dc_idx, client_idx, 
     return dict(model.alpha)[provider_id][dc_idx][client_idx][level - 1]
 
 
+def check_plan_oracle(instance: MarketInstance, plan: Plan) -> None:
+    """Raise InfeasiblePlan naming the first violated feasibility constraint:
+    one membership test per placement and assignment, and a Fraction
+    comparison per demand."""
+    providers = {p.id: p for p in instance.providers}
+    dc_ids = {d.id for d in instance.data_centers}
+
+    for provider_id, level in plan.purchases:
+        p = providers.get(provider_id)
+        if p is None or not 1 <= level <= p.num_levels:
+            raise InfeasiblePlan(f"purchase of unknown provider/level ({provider_id}, {level})")
+    for provider_id, dc_id, level in plan.placements:
+        p = providers.get(provider_id)
+        if p is None or dc_id not in dc_ids or not 1 <= level <= p.num_levels:
+            raise InfeasiblePlan(
+                f"placement of unknown provider/dc/level ({provider_id}, {dc_id}, {level})"
+            )
+        if instance.contracting == "bulk" and (provider_id, level) not in plan.purchases:
+            raise InfeasiblePlan(
+                f"placement ({provider_id}, {dc_id}, {level}) without bulk purchase"
+            )
+
+    seen: dict[tuple[str, str], tuple[str, int]] = {}
+    for provider_id, client_id, dc_id, level in plan.assignments:
+        if (provider_id, dc_id, level) not in plan.placements:
+            raise InfeasiblePlan(
+                f"assignment ({provider_id}, {client_id}) served from unplaced"
+                f" ({dc_id}, level {level})"
+            )
+        key = (client_id, provider_id)
+        if key in seen:
+            raise InfeasiblePlan(f"client {client_id} assigned twice for provider {provider_id}")
+        seen[key] = (dc_id, level)
+
+    for c in instance.clients:
+        for provider_id, w in c.demands:
+            assigned = seen.pop((c.id, provider_id), None)
+            if assigned is None:
+                raise InfeasiblePlan(f"client {c.id} not served for provider {provider_id}")
+            _, level = assigned
+            if providers[provider_id].quality(level) < w:
+                raise InfeasiblePlan(
+                    f"client {c.id} served level {level} below demand on provider {provider_id}"
+                )
+    if seen:
+        (client_id, provider_id), _ = next(iter(seen.items()))
+        raise InfeasiblePlan(
+            f"client {client_id} assigned for provider {provider_id} it does not demand"
+        )
+
+
 def evaluate_cost_oracle(instance: MarketInstance, plan: Plan) -> CostBreakdown:
     """Price a feasible plan one Fraction at a time: beta per placement,
     alpha and the per-query fee per assignment, the bulk fee per purchase."""
-    check_plan(instance, plan)
+    check_plan_oracle(instance, plan)
     providers = {p.id: p for p in instance.providers}
     dc_index = instance.dc_index()
     client_index = instance.client_index()

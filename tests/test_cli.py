@@ -559,6 +559,27 @@ def test_solve_missing_key_is_named(tmp_path, capsys, geo_doc):
     assert_refused(code, stdout, err, 2, "cannot read instance: missing key 'data_centers'")
 
 
+@pytest.mark.parametrize(
+    "raw, expected", [("1e22", 10**22), ("1.5e30", 15 * 10**29), (1e22, 10**22)]
+)
+def test_solve_reads_money_past_28_digits(tmp_path, capsys, geo_doc, raw, expected):
+    geo_doc["providers"][0]["oper_cost"][0][0] = raw
+    path = write_doc(tmp_path, geo_doc)
+    assert load_instance(path).providers[0].oper_cost[0][0] == expected
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert code == 0 and err == "" and json.loads(stdout)["algorithm"] == "datum"
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "1e309", "-1e999999"])
+def test_solve_refuses_money_past_the_digit_cap(tmp_path, capsys, geo_doc, raw):
+    geo_doc["providers"][0]["oper_cost"][0][0] = raw
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert_refused(
+        code, stdout, err, 2, f"cannot read instance: not a finite decimal number: {raw!r}"
+    )
+
+
 def test_solve_top_level_array_exits_2(tmp_path, capsys, geo_doc):
     path = write_doc(tmp_path, [geo_doc])
     code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from datamarket.model import (
     Provider,
     QualityLevel,
     UnsatisfiableDemand,
+    check_plan,
     distance_table,
     evaluate_cost,
     exec_cost_value,
@@ -33,8 +36,10 @@ from datamarket.model import (
     validate_instance,
 )
 from datamarket.numeric import (
+    MAX_INTEGER_DIGITS,
     MICROS,
     distance_cost,
+    distance_grid,
     distance_micros,
     format_money,
     haversine_gigameters,
@@ -44,6 +49,7 @@ from datamarket.numeric import (
 )
 from datamarket.scenario import InvalidRatioTargets, ScenarioParams, generate
 from oracles import (
+    check_plan_oracle,
     distance_cost_oracle,
     empty_plan,
     evaluate_cost_oracle,
@@ -350,6 +356,207 @@ def test_bulk_requires_purchase_before_placement():
         evaluate_cost(inst, plan)
 
 
+# --- InfeasiblePlan messages, one per kind -----------------------------------
+
+
+def test_infeasible_message_unplaced(instance_g):
+    with pytest.raises(
+        InfeasiblePlan, match=re.escape("assignment (p1, c1) served from unplaced (dc2, level 1)")
+    ):
+        check_plan(
+            instance_g,
+            Plan(
+                frozenset({("p1", 1)}),
+                frozenset({("p1", "dc1", 1)}),
+                frozenset({("p1", "c1", "dc2", 1)}),
+            ),
+        )
+
+
+def test_infeasible_message_assigned_twice(instance_g):
+    with pytest.raises(InfeasiblePlan, match="^client c1 assigned twice for provider p1$"):
+        check_plan(
+            instance_g,
+            Plan(
+                frozenset({("p1", 1)}),
+                frozenset({("p1", "dc1", 1), ("p1", "dc2", 1)}),
+                frozenset({("p1", "c1", "dc1", 1), ("p1", "c1", "dc2", 1)}),
+            ),
+        )
+
+
+def test_infeasible_message_not_served(instance_a):
+    with pytest.raises(InfeasiblePlan, match="^client c2 not served for provider p1$"):
+        check_plan(
+            instance_a,
+            Plan(
+                frozenset({("p1", 2)}),
+                frozenset({("p1", "dc1", 2)}),
+                frozenset({("p1", "c1", "dc1", 2)}),
+            ),
+        )
+
+
+def test_infeasible_message_below_demand(instance_a):
+    with pytest.raises(
+        InfeasiblePlan, match="^client c4 served level 1 below demand on provider p1$"
+    ):
+        check_plan(
+            instance_a,
+            Plan(
+                frozenset({("p1", 1)}),
+                frozenset({("p1", "dc1", 1)}),
+                frozenset({("p1", c, "dc1", 1) for c in ("c1", "c2", "c3", "c4")}),
+            ),
+        )
+
+
+def test_infeasible_message_undemanded(instance_g):
+    (p1,) = instance_g.providers
+    inst = replace(instance_g, providers=(p1, replace(p1, id="p2")))
+    with pytest.raises(
+        InfeasiblePlan, match="^client c1 assigned for provider p2 it does not demand$"
+    ):
+        check_plan(
+            inst,
+            Plan(
+                frozenset({("p1", 1), ("p2", 1)}),
+                frozenset({("p1", "dc1", 1), ("p2", "dc1", 1)}),
+                frozenset({("p1", "c1", "dc1", 1), ("p2", "c1", "dc1", 1)}),
+            ),
+        )
+
+
+def test_infeasible_message_bulk_placement_without_purchase():
+    inst = build_instance(
+        beta=[[1]], fees=[1], bulk_fees=[7], demands=[1], alpha=[[0]], contracting="bulk",
+    )
+    with pytest.raises(
+        InfeasiblePlan, match=re.escape("placement (p1, dc1, 1) without bulk purchase")
+    ):
+        check_plan(
+            inst,
+            Plan(
+                frozenset(),
+                frozenset({("p1", "dc1", 1)}),
+                frozenset({("p1", "c1", "dc1", 1)}),
+            ),
+        )
+
+
+# --- check_plan against the per-demand Fraction oracle ------------------------
+#
+# Each mutation takes a feasible plan to one that breaks a single constraint,
+# or returns None where the market leaves it no room.
+
+
+def _drop_assignment(inst, plan, rng):
+    gone = rng.choice(sorted(plan.assignments))
+    return replace(plan, assignments=plan.assignments - {gone})
+
+
+def _lower_below_demand(inst, plan, rng):
+    providers = {p.id: p for p in inst.providers}
+    demand = {(c.id, pid): w for c in inst.clients for pid, w in c.demands}
+    options = [
+        (a, min_level_scan(providers[a[0]], demand[a[1], a[0]]))
+        for a in sorted(plan.assignments)
+    ]
+    options = [(a, least) for a, least in options if least > 1]
+    if not options:
+        return None
+    (pid, cid, dc_id, level), least = rng.choice(options)
+    low = rng.randint(1, least - 1)
+    return Plan(
+        plan.purchases | {(pid, low)},
+        plan.placements | {(pid, dc_id, low)},
+        plan.assignments - {(pid, cid, dc_id, level)} | {(pid, cid, dc_id, low)},
+    )
+
+
+def _remove_used_placement(inst, plan, rng):
+    used = sorted({(pid, dc_id, level) for pid, _, dc_id, level in plan.assignments})
+    return replace(plan, placements=plan.placements - {rng.choice(used)})
+
+
+def _serve_twice(inst, plan, rng):
+    pid, cid, dc_id, level = rng.choice(sorted(plan.assignments))
+    (provider,) = (p for p in inst.providers if p.id == pid)
+    others = [
+        (d.id, l)
+        for d in inst.data_centers
+        for l in range(1, provider.num_levels + 1)
+        if (d.id, l) != (dc_id, level)
+    ]
+    if not others:
+        return None
+    dc2, level2 = rng.choice(others)
+    return Plan(
+        plan.purchases | {(pid, level2)},
+        plan.placements | {(pid, dc2, level2)},
+        plan.assignments | {(pid, cid, dc2, level2)},
+    )
+
+
+def _serve_undemanded(inst, plan, rng):
+    options = [
+        (c.id, p) for c in inst.clients for p in inst.providers if p.id not in dict(c.demands)
+    ]
+    if not options:
+        return None
+    cid, p = rng.choice(options)
+    dc_id = rng.choice(inst.data_centers).id
+    level = rng.randint(1, p.num_levels)
+    return Plan(
+        plan.purchases | {(p.id, level)},
+        plan.placements | {(p.id, dc_id, level)},
+        plan.assignments | {(p.id, cid, dc_id, level)},
+    )
+
+
+MUTATIONS = {
+    "drop-assignment": _drop_assignment,
+    "below-demand": _lower_below_demand,
+    "unplaced": _remove_used_placement,
+    "served-twice": _serve_twice,
+    "undemanded": _serve_undemanded,
+}
+
+
+def _verdict(check, instance, plan):
+    """check's InfeasiblePlan message for the plan, or None if it passes."""
+    try:
+        check(instance, plan)
+    except InfeasiblePlan as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bulk=st.booleans(),
+    algorithm=st.sampled_from(["nearestdc", "datum"]),
+    mutation=st.sampled_from(sorted(MUTATIONS)),
+)
+def test_check_plan_agrees_with_the_oracle(seed, bulk, algorithm, mutation):
+    rng = random.Random(seed)
+    inst = random_market(
+        rng, max_providers=3, max_dcs=3, max_levels=4, max_clients=6, bulk=bulk,
+        level_independent_beta=bulk, force_top_demand=bulk,
+    )
+    plan, _ = run_algorithm(inst, algorithm, DatumConfig())
+    assert _verdict(check_plan, inst, plan) is None
+    assert _verdict(check_plan_oracle, inst, plan) is None
+    broken = MUTATIONS[mutation](inst, plan, rng)
+    assume(broken is not None)
+    # The two checks test the constraints in the same order, so they name
+    # the same first violation.
+    expected = _verdict(check_plan_oracle, inst, broken)
+    assert expected is not None
+    assert _verdict(check_plan, inst, broken) == expected
+
+
 def test_json_round_trip(instance_g):
     doc = instance_to_json(instance_g)
     text = json.dumps(doc, sort_keys=True)
@@ -383,6 +590,29 @@ def test_haversine_known_distance():
 
 @pytest.mark.parametrize("raw", ["inf", "Infinity", "-inf", "1e400", "nan", float("inf")])
 def test_to_rational_rejects_non_finite(raw):
+    with pytest.raises(ValueError, match="not a finite decimal number"):
+        to_rational(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ("1e22", F(10**22)),
+        ("-1e22", F(-(10**22))),
+        ("1.5e30", F(15 * 10**29)),
+        (1e22, F(10**22)),
+        ("123456789012345678901234567890.0000005", F(123456789012345678901234567890)),
+        ("123456789012345678901234567890.0000015", F(123456789012345678901234567890_000002, MICROS)),
+        ("9" * 30 + ".9999999", F(10**30)),
+        ("9" * MAX_INTEGER_DIGITS, F(10**MAX_INTEGER_DIGITS - 1)),
+    ],
+)
+def test_to_rational_quantizes_values_past_28_digits(raw, expected):
+    assert to_rational(raw) == expected
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "1e309", "-1e309", "1e999999"])
+def test_to_rational_refuses_values_past_the_digit_cap(raw):
     with pytest.raises(ValueError, match="not a finite decimal number"):
         to_rational(raw)
 
@@ -594,6 +824,77 @@ def test_distance_table_matches_per_cell_formulas(dcs, clients, rate_micros, tie
     table = distance_table(inst)
     assert table == [[distance_micros(*d, *c, rate) for c in clients] for d in dcs]
     assert table == [[distance_cost_oracle(*d, *c, rate) * MICROS for c in clients] for d in dcs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    a=POINTS,
+    b=COORDINATES,
+    half=st.integers(0, 10**13),
+    ulps=st.integers(-6, 6),
+    shift=st.integers(0, 12),
+    negative=st.booleans(),
+)
+def test_distance_micros_near_half_micro_ties(a, b, half, ulps, shift, negative):
+    # The exact product is a half-micro plus or minus ulps * 2**shift units in
+    # the last place of that half-micro: exact ties, then products inside and
+    # just outside the float route's error allowance, on both sides. An
+    # in-code rate may be negative.
+    dist = F(haversine_gigameters(*a, *b))
+    assume(dist)
+    target = F(2 * half + 1, 2)
+    product = target + F(math.ulp(float(target))) * ulps * 2**shift
+    if negative:
+        product = -product
+    rate = product / (dist * MICROS)
+    assert dist * rate * MICROS == product
+    assert distance_micros(*a, *b, rate) == distance_cost_oracle(*a, *b, rate) * MICROS
+
+
+@pytest.mark.parametrize(
+    "a, b, twice_product",
+    [
+        ((41.6131, -33.0656), (-57.2264, 132.2853), 816709),
+        ((83.0245, -49.6014), (-83.4569, 177.5056), 450637),
+        ((70.688, -89.6782), (-6.687, 32.3148), -1637849),
+        ((-69.7391, 115.9398), (5.7153, -115.4174), -1965335),
+    ],
+)
+def test_distance_micros_exact_tie_the_float_product_misses(a, b, twice_product):
+    # The exact product is the half-micro twice_product / 2, but the float
+    # product lands just past it, so rounding the float would pick the
+    # wrong neighbour; the exact route must decide.
+    rate = F(twice_product, 2) / (F(haversine_gigameters(*a, *b)) * MICROS)
+    assert distance_micros(*a, *b, rate) == distance_cost_oracle(*a, *b, rate) * MICROS
+
+
+EXTREME_RATES = st.one_of(
+    # Numerators up to 1e30: products of 2**52 micro-units and beyond.
+    st.builds(F, st.integers(0, 10**30), st.sampled_from([1, MICROS]) | st.integers(1, 10**6)),
+    # A zero rate, rates whose scale is subnormal or underflows a float, and
+    # rates whose scale overflows one.
+    st.sampled_from(
+        [F(0), F(1, 10**312), F(3, 2**1074), F(1, 2**1080), F(10**400), F(10**400, 3)]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=POINTS, b=POINTS, coincident=st.booleans(), rate=EXTREME_RATES)
+def test_distance_micros_extreme_rates(a, b, coincident, rate):
+    if coincident:
+        b = a
+    assert distance_micros(*a, *b, rate) == distance_cost_oracle(*a, *b, rate) * MICROS
+
+
+def test_distance_grid_equals_per_cell_distance_micros():
+    inst = _case_study(1)
+    rate = inst.exec_cost.rate_per_gigameter
+    dcs = [d.location for d in inst.data_centers]
+    clients = [c.location for c in inst.clients]
+    assert distance_grid(dcs, clients, rate) == [
+        [distance_micros(*d, *c, rate) for c in clients] for d in dcs
+    ]
 
 
 def test_distance_table_is_none_for_explicit_costs(instance_g):
