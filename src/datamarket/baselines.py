@@ -40,7 +40,7 @@ from datamarket.model import (
     evaluate_cost,
     split_by_provider,
 )
-from datamarket.numeric import MICROS, format_money, to_micros, to_rational
+from datamarket.numeric import MICROS, format_money, to_rational
 
 ZERO = Fraction(0)
 
@@ -182,12 +182,12 @@ def _search_provider(sub: ProviderSubproblem, minimize_band_only: bool, budget: 
             f"provider {sub.provider_id}: needs 2^{num_items} supports,"
             f" budget allows {budget} (set {BUDGET_ENV} to raise)"
         )
-    levels = range(1, sub.num_levels + 1)
     charged = not minimize_band_only
     bulk = sub.contracting == "bulk"
     # Per-level fee added to each assignment, and per-level one-time fee.
-    fee_of = [to_micros(sub.fee(l)) if charged and not bulk else 0 for l in levels]
-    bulk_fee_of = [to_micros(sub.bulk_fee(l)) if charged and bulk else 0 for l in levels]
+    zeros = (0,) * sub.num_levels
+    fee_of = sub.fees if charged and not bulk else zeros
+    bulk_fee_of = sub.fees if charged and bulk else zeros
     items, beta_of, prefs = _facilities(sub, fee_of)
 
     def bulk_fees(level_set: set[int]) -> int:
@@ -291,7 +291,7 @@ def to_uflp(sub: ProviderSubproblem) -> UflpInstance:
     fee + alpha, with below-demand levels forbidden."""
     if sub.contracting != "per_query":
         raise DatamarketError("to_uflp is defined for per-query contracting")
-    items, open_costs, rows = _facilities(sub, [to_micros(lvl.per_query_fee) for lvl in sub.levels])
+    items, open_costs, rows = _facilities(sub, sub.fees)
     connection = [[None] * len(sub.client_ids) for _ in items]
     for c, row in enumerate(rows):
         for k, cost in row:

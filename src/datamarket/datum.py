@@ -34,7 +34,7 @@ from datamarket.model import (
     gather,
     split_by_provider,
 )
-from datamarket.numeric import MICROS, quantize
+from datamarket.numeric import quantize
 from datamarket.single_dc import (
     LevelDependentCosts,
     SingleDcPlan,
@@ -112,7 +112,7 @@ def transformed_costs(
     sub: ProviderSubproblem,
     mu1: Fraction = ZERO,
     mu2: Fraction = ZERO,
-) -> tuple[Fraction, ...]:
+) -> tuple[int | Fraction, ...]:
     """beta*(l): cheapest subset cost, optionally anticipating delivery.
 
     With mu1 > 0 each subset's score adds, for every client whose minimum
@@ -121,7 +121,8 @@ def transformed_costs(
     quantity; it is evaluated in floating point and quantized to 1e-6 before
     entering exact arithmetic, so the anticipation term is a Fraction. With
     mu1 = 0 the scores are the catalog's int micro-units. Either way
-    beta*(l) is returned as an exact Fraction.
+    beta*(l) is returned in micro-units: an int, or an exact Fraction when
+    mu1 > 0.
     """
     if mu1 < 0 or mu2 < 0:
         raise DatamarketError("mu1 and mu2 must be nonnegative")
@@ -145,14 +146,14 @@ def transformed_costs(
                 score + mu1 * sum((w * sums[m] for m, w in weights.items()), ZERO)
                 for score, sums in zip(scores, group_sums)
             ]
-        beta_star.append(Fraction(min(scores, default=0), MICROS))
+        beta_star.append(min(scores, default=0))
     return tuple(beta_star)
 
 
-def datum_step1(sub: ProviderSubproblem, beta_star: Sequence[Fraction]) -> SingleDcPlan:
-    """Solve purchasing as a single data center under the transformed costs."""
-    fees = [lvl.per_query_fee for lvl in sub.levels]
-    return _solve_categories(beta_star, fees, categorize(sub))
+def datum_step1(sub: ProviderSubproblem, beta_star: Sequence[int | Fraction]) -> SingleDcPlan:
+    """Solve purchasing as a single data center under the transformed costs,
+    in micro-units."""
+    return _solve_categories(beta_star, sub.fees, categorize(sub))
 
 
 def datum_step2(sub: ProviderSubproblem, catalog: SubsetCatalog, s1: SingleDcPlan) -> Placements:
@@ -187,26 +188,17 @@ def lower_joint_plan(sub: ProviderSubproblem, placements: Placements, s1: Single
     return sub.lower(placed, served)
 
 
-def _catalog(sub: ProviderSubproblem, config: DatumConfig) -> SubsetCatalog:
-    return build_subset_catalog_capped(sub, min(config.max_replicas, sub.num_dcs))
-
-
-def _step1(sub: ProviderSubproblem, catalog: SubsetCatalog, config: DatumConfig) -> SingleDcPlan:
-    return datum_step1(sub, transformed_costs(catalog, sub, config.mu1, config.mu2))
-
-
 def _solve_provider(sub: ProviderSubproblem, config: DatumConfig) -> Plan:
     """Datum on one provider. Under bulk contracting Step 1 buys only the
     top level, for every client, and Step 2 places it: exact when operation
     and execution costs are level-independent (required), some client
     demands the top level and the catalog holds every subset."""
+    catalog = build_subset_catalog_capped(sub, min(config.max_replicas, sub.num_dcs))
     if sub.contracting == "bulk":
         _require_level_independent(sub)
-        catalog = _catalog(sub, config)
         s1 = top_level_plan(sub, transformed_costs(catalog, sub))
     else:
-        catalog = _catalog(sub, config)
-        s1 = _step1(sub, catalog, config)
+        s1 = datum_step1(sub, transformed_costs(catalog, sub, config.mu1, config.mu2))
     return lower_joint_plan(sub, datum_step2(sub, catalog, s1), s1)
 
 
@@ -225,21 +217,9 @@ def datum_solve(
     return plan, evaluate_cost(instance, plan, distances)
 
 
-def step1_objective(
-    instance: MarketInstance, config: DatumConfig | None = None
-) -> Fraction:
-    """Total Step-1 objective across providers: transformed operation cost of
-    the purchased levels plus per-query fees. With mu1 = 0 this lower-bounds
-    the operation-plus-purchasing cost of any feasible solution under
-    per-query contracting only: it charges per-query fees, not bulk fees."""
-    config = config or DatumConfig()
-    subs = [sub for sub in split_by_provider(instance) if sub.client_ids]
-    return sum((_step1(sub, _catalog(sub, config), config).objective for sub in subs), ZERO)
-
-
 def _require_level_independent(sub: ProviderSubproblem) -> None:
-    if not sub.level_independent:
-        raise LevelDependentCosts(f"provider {sub.provider_id}: execution costs vary with level")
+    """Bulk Datum's operation-cost check; the catalog refuses execution
+    costs that vary with the level."""
     for row in sub.beta:
         if any(v != row[0] for v in row):
             raise LevelDependentCosts(

@@ -153,7 +153,7 @@ class _Tableau:
 
     def solve(self) -> str:
         if self.art0 < self.width:
-            status = self._iterate(self.cost1, allow_art=False)
+            status = self._iterate(self.cost1)
             if status != "optimal":
                 raise AssertionError("solver bug: phase 1 cannot be unbounded")
             if any(
@@ -161,14 +161,13 @@ class _Tableau:
             ):
                 return "infeasible"
             self._drive_out_artificials()
-        return self._iterate(self.cost2, allow_art=False)
+        return self._iterate(self.cost2)
 
-    def _iterate(self, cost: list[int], allow_art: bool) -> str:
-        limit = self.width if allow_art else self.art0
+    def _iterate(self, cost: list[int]) -> str:
         basic = set(self.basis)
         for _ in range(_MAX_PIVOTS):
             enter = -1
-            for j in range(limit):
+            for j in range(self.art0):  # artificial columns never enter
                 if cost[j] < 0 and j not in basic:
                     enter = j
                     break

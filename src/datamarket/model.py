@@ -197,20 +197,22 @@ class ProviderSubproblem:
     """The per-provider decoupled view of an instance.
 
     Purchasing/placement decisions do not interact across providers, so each
-    provider is solved on its own: beta[d][l], fees f(l), alpha[l][d][c] for
+    provider is solved on its own: beta[d][l], fees[l], alpha[l][d][c] for
     only the clients demanding this provider, and each client's demand
     resolved to the smallest feasible level index.
 
-    beta and alpha hold int micro-units (numeric.MICROS per unit of money),
-    so the solvers add and compare them as plain ints; fees stay Fractions
-    on the levels. alpha is level-major: alpha[l - 1] is the
-    data-center-by-client table of level l. Where execution costs do not
-    depend on the level (distance costs, and explicit tensors marked
-    level_independent), every level holds the same table object.
+    Every cost here is an int micro-unit (numeric.MICROS per unit of
+    money), so the solvers add and compare them as plain ints. fees[l - 1]
+    is level l's fee under the contracting mode: the per-query fee of each
+    assignment, or the bulk fee of each purchase. alpha is level-major:
+    alpha[l - 1] is the data-center-by-client table of level l. Where
+    execution costs do not depend on the level (distance costs, and explicit
+    tensors marked level_independent), every level holds the same table
+    object.
     """
 
     provider_id: str
-    levels: tuple[QualityLevel, ...]
+    fees: tuple[int, ...]  # [l], micro-units
     dc_ids: tuple[str, ...]
     beta: tuple[tuple[int, ...], ...]  # [d][l], micro-units
     client_ids: tuple[str, ...]
@@ -221,20 +223,11 @@ class ProviderSubproblem:
 
     @property
     def num_levels(self) -> int:
-        return len(self.levels)
+        return len(self.fees)
 
     @property
     def num_dcs(self) -> int:
         return len(self.dc_ids)
-
-    def fee(self, level: int) -> Fraction:
-        return self.levels[level - 1].per_query_fee
-
-    def bulk_fee(self, level: int) -> Fraction:
-        fee = self.levels[level - 1].bulk_fee
-        if fee is None:
-            raise MissingBulkFees(f"provider {self.provider_id} level {level} has no bulk fee")
-        return fee
 
     def lower(
         self, placed: Iterable[tuple[int, int]], served: Iterable[tuple[int, int]]
@@ -491,10 +484,11 @@ def split_by_provider(
                 tuple(tuple(to_micros(row[ci][l]) for ci in member_idx) for row in tensors[p.id])
                 for l in range(p.num_levels)
             )
+        fee = p.bulk_fee if instance.contracting == "bulk" else p.fee
         subproblems.append(
             ProviderSubproblem(
                 provider_id=p.id,
-                levels=p.levels,
+                fees=tuple(to_micros(fee(l)) for l in range(1, p.num_levels + 1)),
                 dc_ids=dc_ids,
                 beta=tuple(tuple(map(to_micros, row)) for row in p.oper_cost),
                 client_ids=tuple(instance.clients[ci].id for ci in member_idx),

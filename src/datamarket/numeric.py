@@ -2,22 +2,19 @@
 
 Every monetary quantity in this package is a multiple of the 1e-6 quantum.
 External decimal strings are quantized on the way in and formatted back to
-6-place decimal strings on the way out. In between, money takes one of two
-exact forms:
+6-place decimal strings on the way out. In between, one rule holds: the
+instance and every reported total are fractions.Fraction; distance costs,
+everything in a ProviderSubproblem (operation costs, fees and execution
+costs) and everything the solvers derive from it are int micro-units
+(value * MICROS). split_by_provider is where money enters that form;
+solve_single_dc's objective, to_uflp's output and evaluate_cost are where
+it leaves. The linear programs take whatever exact numbers they are given:
+Datum's mu1 anticipation term makes its transformed costs exact Fractions
+of micro-units (a product with a quantized weight).
 
-- fractions.Fraction: the instance, the linear programs of the
-  single-data-center solver, Datum's mu1 anticipation term (a product with
-  a quantized weight, so a multiple of 1e-12) and every reported total;
-- int micro-units (value * MICROS): distance costs, the per-provider cost
-  tables of ProviderSubproblem and everything that only adds and compares
-  them, namely Datum's subset catalog and Step 2, the exhaustive search and
-  evaluate_cost's execution-cost sum. A subproblem's execution costs are
-  level-major, one data-center-by-client table per level; where they do not
-  depend on the level, every level shares one table.
-
-to_micros converts from the first form to the second and refuses any value
-that is not a whole number of quanta. Distance costs are rounded once, to
-the nearest micro-unit of the exact product of the float haversine and the
+to_micros converts a Fraction to micro-units and refuses any value that is
+not a whole number of quanta. Distance costs are rounded once, to the
+nearest micro-unit of the exact product of the float haversine and the
 rate (distance_micros); distance_cost is the same value as a Fraction.
 That rounding takes one of two routes. A float estimate of the product,
 within a relative 2**-51 of it, picks the integer where its distance from
@@ -90,7 +87,8 @@ def to_rational(value: str | int | float | Fraction | Decimal) -> Fraction:
             digits = dec.adjusted() + 1
             if digits > MAX_INTEGER_DIGITS:
                 raise ValueError(
-                    f"not a finite decimal number: {value!r} (outside the quantizable range)"
+                    f"decimal number too large: {value!r} has more than"
+                    f" {MAX_INTEGER_DIGITS} integer digits"
                 ) from exc
             with localcontext() as ctx:
                 ctx.prec = digits + QUANTUM_PLACES + 1
@@ -157,11 +155,6 @@ def point_gigameters(p: tuple[float, float, float], q: tuple[float, float, float
     a = sin((phi2 - phi1) / 2) ** 2 + cos1 * cos2 * sin((lam2 - lam1) / 2) ** 2
     km = 2 * EARTH_RADIUS_KM * asin(sqrt(a))
     return km / 1e6
-
-
-def haversine_gigameters(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance between two points, in gigameters (1e6 km)."""
-    return point_gigameters(geo_point(lat1, lon1), geo_point(lat2, lon2))
 
 
 def pair_micros(

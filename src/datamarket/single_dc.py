@@ -22,7 +22,7 @@ the top level alone, optimal only when some client demands that level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,11 +53,12 @@ class NoBreakpoint(Exception):
 
 @dataclass(frozen=True)
 class SingleDcPlan:
-    """Binary open-level decisions plus each category's chosen level."""
+    """Binary open-level decisions plus each category's chosen level, and
+    the objective in the units of the costs the plan was solved on."""
 
     open_levels: frozenset[int]
     choices: tuple[tuple[int, int], ...]  # (category index, chosen level)
-    objective: Fraction
+    objective: int | Fraction
 
     def choice_map(self) -> dict[int, int]:
         return dict(self.choices)
@@ -227,8 +228,8 @@ def _finish(
     return SingleDcPlan(open_levels, choices, objective)
 
 
-def _fee_vector(sub: ProviderSubproblem) -> list[Fraction]:
-    fees = [lvl.per_query_fee for lvl in sub.levels]
+def _fee_vector(sub: ProviderSubproblem) -> tuple[int, ...]:
+    fees = sub.fees
     for a, b in zip(fees, fees[1:]):
         if b <= a:
             raise ValueError(f"provider {sub.provider_id}: fees must strictly increase")
@@ -237,25 +238,28 @@ def _fee_vector(sub: ProviderSubproblem) -> list[Fraction]:
 
 def solve_single_dc(sub: ProviderSubproblem) -> SingleDcPlan:
     """Purchasing for a subproblem with one data center: exactly optimal
-    under per-query contracting, top_level_plan under bulk contracting."""
+    under per-query contracting, top_level_plan under bulk contracting.
+    Solved on micro-units; the objective is reported as money."""
     if sub.num_dcs != 1:
         raise ValueError("solve_single_dc needs exactly one data center")
-    beta = [Fraction(b, MICROS) for b in sub.beta[0]]
+    beta = sub.beta[0]
     if sub.contracting == "bulk":
-        return top_level_plan(sub, beta)
-    return _solve_categories(beta, _fee_vector(sub), categorize(sub))
+        plan = top_level_plan(sub, beta)
+    else:
+        plan = _solve_categories(beta, _fee_vector(sub), categorize(sub))
+    return replace(plan, objective=Fraction(plan.objective, MICROS))
 
 
-def top_level_plan(sub: ProviderSubproblem, beta: Sequence[Fraction]) -> SingleDcPlan:
+def top_level_plan(sub: ProviderSubproblem, beta: Sequence[int]) -> SingleDcPlan:
     """Bulk contracting: buy the top level L only and serve every category
-    from it, at cost beta(L) + bulk_fee(L). On one data center this is
-    exactly optimal when some client demands level L."""
+    from it, at cost beta(L) + fees(L), in micro-units. On one data center
+    this is exactly optimal when some client demands level L."""
     counts = categorize(sub)
     if sum(counts) == 0:
         return SingleDcPlan(frozenset(), (), ZERO)
     top = sub.num_levels
     choices = tuple((i, top) for i in range(1, top + 1) if counts[i - 1] > 0)
-    return SingleDcPlan(frozenset([top]), choices, beta[top - 1] + sub.bulk_fee(top))
+    return SingleDcPlan(frozenset([top]), choices, beta[top - 1] + sub.fees[top - 1])
 
 
 def lower_single_dc_plan(sub: ProviderSubproblem, plan: SingleDcPlan) -> Plan:

@@ -9,11 +9,12 @@ Fraction price with its Fraction distance formula, and the feasibility
 check with a Fraction comparison per demand.
 The exceptions are `DenseTableau`, the library's simplex tableau with its
 pivot swapped for the dense loop, which checks that the sparse pivot takes
-the same steps, and `breakpoints`, which builds the `Breakpoints` that
-`reconstruct_choices` takes with the solver's `single_dc._first_reach`.
-The plan helpers at the top, `instance_log_ratios`, `breakpoints` and
-`reconstruct_choices` are used only by tests. Test-only; never a runtime
-dependency.
+the same steps; `breakpoints`, which builds the `Breakpoints` that
+`reconstruct_choices` takes with the solver's `single_dc._first_reach`; and
+`step1_objective`, which sums Datum's public Step 1 over the providers.
+The plan helpers at the top, `haversine_gigameters`, `instance_log_ratios`,
+`breakpoints`, `reconstruct_choices` and `step1_objective` are used only by
+tests. Test-only; never a runtime dependency.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from datamarket.datum import (
+    DatumConfig,
+    build_subset_catalog_capped,
+    datum_step1,
+    transformed_costs,
+)
 from datamarket.lp import _Tableau
 from datamarket.model import (
     CostBreakdown,
@@ -37,7 +44,7 @@ from datamarket.model import (
     exec_cost_value,
     split_by_provider,
 )
-from datamarket.numeric import haversine_gigameters, quantize, to_micros
+from datamarket.numeric import MICROS, geo_point, point_gigameters, quantize, to_micros
 from datamarket.single_dc import NoBreakpoint, _first_reach
 
 ZERO = Fraction(0)
@@ -75,6 +82,11 @@ def min_level_scan(provider: Provider, required_quality: Fraction) -> int:
     raise UnsatisfiableDemand(
         f"provider {provider.id}: no level reaches quality {required_quality}"
     )
+
+
+def haversine_gigameters(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Great-circle distance between two points, in gigameters (1e6 km)."""
+    return point_gigameters(geo_point(lat1, lon1), geo_point(lat2, lon2))
 
 
 def distance_cost_oracle(lat1, lon1, lat2, lon2, rate) -> Fraction:
@@ -243,15 +255,7 @@ def single_dc_brute_force(beta, fees, counts) -> Fraction | None:
 
 def make_subproblem(beta_vec, fees, counts, bulk_fees=None, contracting="per_query"):
     """Synthetic one-data-center subproblem realizing the given category counts."""
-    levels = tuple(
-        QualityLevel(
-            index=k + 1,
-            quality=Fraction(k + 1),
-            per_query_fee=fees[k],
-            bulk_fee=None if bulk_fees is None else bulk_fees[k],
-        )
-        for k in range(len(fees))
-    )
+    charged = bulk_fees if contracting == "bulk" else fees
     client_ids = []
     min_levels = []
     for i, count in enumerate(counts, start=1):
@@ -261,7 +265,7 @@ def make_subproblem(beta_vec, fees, counts, bulk_fees=None, contracting="per_que
     alpha = ((tuple(to_micros(ZERO) for _ in client_ids),),) * len(fees)
     return ProviderSubproblem(
         provider_id="p",
-        levels=levels,
+        fees=tuple(map(to_micros, charged)),
         dc_ids=("dc",),
         beta=(tuple(map(to_micros, beta_vec)),),
         client_ids=tuple(client_ids),
@@ -270,6 +274,22 @@ def make_subproblem(beta_vec, fees, counts, bulk_fees=None, contracting="per_que
         level_independent=True,
         contracting=contracting,
     )
+
+
+def step1_objective(instance: MarketInstance, config: DatumConfig | None = None) -> Fraction:
+    """Total Step-1 objective across providers, as money: transformed
+    operation cost of the purchased levels plus per-query fees. With mu1 = 0
+    this lower-bounds the operation-plus-purchasing cost of any feasible
+    solution under per-query contracting only: it charges per-query fees,
+    not bulk fees."""
+    config = config or DatumConfig()
+    total = ZERO
+    for sub in split_by_provider(instance):
+        if sub.client_ids:
+            catalog = build_subset_catalog_capped(sub, min(config.max_replicas, sub.num_dcs))
+            beta_star = transformed_costs(catalog, sub, config.mu1, config.mu2)
+            total += datum_step1(sub, beta_star).objective
+    return total / MICROS
 
 
 def random_market(
@@ -432,12 +452,12 @@ def reference_search(sub: ProviderSubproblem, minimize_band_only: bool) -> Plan:
     bulk = sub.contracting == "bulk"
 
     def fee(l):
-        return 0 if minimize_band_only or bulk else to_micros(sub.fee(l))
+        return 0 if minimize_band_only or bulk else sub.fees[l - 1]
 
     def bulk_fees(level_set):
         if minimize_band_only or not bulk:
             return 0
-        return sum(to_micros(sub.bulk_fee(l)) for l in level_set)
+        return sum(sub.fees[l - 1] for l in level_set)
 
     prefs = []
     for c, need in enumerate(sub.min_levels):

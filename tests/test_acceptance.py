@@ -12,7 +12,7 @@ from statistics import median
 
 from datamarket.baselines import nearest_dc, opt_band, opt_cost, to_uflp, uflp_from_json
 from datamarket.cli import main
-from datamarket.datum import DatumConfig, datum_solve, step1_objective
+from datamarket.datum import DatumConfig, datum_solve
 from datamarket.lp import lp_solve
 from datamarket.model import split_by_provider
 from datamarket.scenario import ScenarioParams, generate
@@ -23,6 +23,7 @@ from oracles import (
     market_enumeration,
     random_market,
     single_dc_brute_force,
+    step1_objective,
     uflp_brute_force,
 )
 

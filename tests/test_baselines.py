@@ -20,7 +20,7 @@ from datamarket.baselines import (
     uflp_to_json,
 )
 from datamarket.model import exec_cost_value, split_by_provider
-from datamarket.numeric import MICROS, to_micros
+from datamarket.numeric import MICROS
 from datamarket.scenario import ScenarioParams, generate
 from oracles import (
     empty_plan,
@@ -234,7 +234,7 @@ def test_dual_ascent_never_exceeds_the_residual_optimum(seed, charged, data):
 
     def connection(k, c):
         d, l = items[k]
-        fee = to_micros(sub.fee(l)) if charged else 0
+        fee = sub.fees[l - 1] if charged else 0
         return sub.alpha[l - 1][d][c] + fee if l >= sub.min_levels[c] else None
 
     rows = [

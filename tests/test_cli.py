@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -12,7 +13,7 @@ from datamarket.model import (
     instance_to_json,
     load_instance,
 )
-from datamarket.numeric import to_rational
+from datamarket.numeric import MAX_INTEGER_DIGITS, to_rational
 from datamarket.scenario import ScenarioParams, generate
 from oracles import plan_from_json
 
@@ -396,6 +397,54 @@ def test_compare_sweep_summary_pinned(capsys, name):
     assert hashlib.sha256(stderr.encode()).hexdigest() == PINNED_SUMMARY[name]
 
 
+# sha256 over each algorithm's `solve` record (runtime_ms dropped) and its
+# --plan-out file, in order, on a generated market turned bulk: every level
+# gets a bulk fee of three times its per-query fee (the generator's
+# operation costs are level-independent already).
+PINNED_BULK = {
+    "two_dc": (
+        "2",
+        ("datum", "optcost", "optband", "nearestdc"),
+        "75de91d03cab70ad1895be70a6197aefc9167eb679ba35563ecdee1663b55811",
+    ),
+    "one_dc": (
+        "1",
+        ("single-dc", "datum", "optcost", "nearestdc"),
+        "46462d60e4be74b59d56f20554af86d1eac8a3d82307a35dd53d7ae4bfc018fb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_BULK))
+def test_solve_bulk_bytes_pinned(tmp_path, capsys, name):
+    data_centers, algorithms, digest = PINNED_BULK[name]
+    path = str(tmp_path / "bulk.json")
+    code, _, _ = run(
+        capsys, "generate", "--seed", "1", "--out", path, "--data-centers", data_centers,
+        "--providers", "3", "--clients", "8", "--levels", "3",
+    )
+    assert code == 0
+    doc = json.loads(open(path).read())
+    doc["contracting"] = "bulk"
+    for provider in doc["providers"]:
+        for level in provider["levels"]:
+            level["bulk_fee"] = str(3 * Decimal(level["per_query_fee"]))
+    path = write_doc(tmp_path, doc)
+    sha = hashlib.sha256()
+    for algorithm in algorithms:
+        plan_out = tmp_path / f"{algorithm}.plan.json"
+        code, stdout, err = run(
+            capsys, "solve", "--instance", path, "--algorithm", algorithm,
+            "--plan-out", str(plan_out),
+        )
+        assert code == 0 and err == ""
+        record = json.loads(stdout)
+        del record["runtime_ms"]
+        sha.update(json.dumps(record, sort_keys=True).encode())
+        sha.update(plan_out.read_bytes())
+    assert sha.hexdigest() == digest
+
+
 # --- refusals: each ends with its exit code and a one-line reason ----------
 
 SMALL_GEO = (
@@ -570,13 +619,25 @@ def test_solve_reads_money_past_28_digits(tmp_path, capsys, geo_doc, raw, expect
     assert code == 0 and err == "" and json.loads(stdout)["algorithm"] == "datum"
 
 
-@pytest.mark.parametrize("raw", ["inf", "nan", "1e309", "-1e999999"])
-def test_solve_refuses_money_past_the_digit_cap(tmp_path, capsys, geo_doc, raw):
+@pytest.mark.parametrize("raw", ["inf", "nan"])
+def test_solve_refuses_non_finite_money(tmp_path, capsys, geo_doc, raw):
     geo_doc["providers"][0]["oper_cost"][0][0] = raw
     path = write_doc(tmp_path, geo_doc)
     code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
     assert_refused(
         code, stdout, err, 2, f"cannot read instance: not a finite decimal number: {raw!r}"
+    )
+
+
+@pytest.mark.parametrize("raw", ["1e309", "-1e999999"])
+def test_solve_refuses_money_past_the_digit_cap(tmp_path, capsys, geo_doc, raw):
+    geo_doc["providers"][0]["oper_cost"][0][0] = raw
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"cannot read instance: decimal number too large: {raw!r} has more than"
+        f" {MAX_INTEGER_DIGITS} integer digits\n"
     )
 
 

@@ -17,13 +17,12 @@ from datamarket.datum import (
     datum_solve,
     datum_step1,
     datum_step2,
-    step1_objective,
     transformed_costs,
 )
 from datamarket.model import split_by_provider
 from datamarket.numeric import MICROS
 from datamarket.single_dc import SingleDcPlan, solve_single_dc
-from oracles import market_enumeration, random_market
+from oracles import market_enumeration, random_market, step1_objective
 
 F = Fraction
 
@@ -57,14 +56,14 @@ def test_catalog_ceiling():
 def test_transformed_costs_conservative(instance_g):
     (sub,) = split_by_provider(instance_g)
     catalog = build_subset_catalog_capped(sub, max_replicas=2)
-    assert transformed_costs(catalog, sub) == (F(5),)
+    assert transformed_costs(catalog, sub) == (5 * MICROS,)
 
 
 def test_transformed_costs_mu1_counts_delivery(instance_g):
     # A subset's score adds its delivery costs: min(5+4, 7+1, 12+1) = 8.
     (sub,) = split_by_provider(instance_g)
     catalog = build_subset_catalog_capped(sub, max_replicas=2)
-    assert transformed_costs(catalog, sub, mu1=F(1), mu2=F(0)) == (F(8),)
+    assert transformed_costs(catalog, sub, mu1=F(1), mu2=F(0)) == (8 * MICROS,)
 
 
 def test_transformed_costs_mu1_zero_is_singleton_min():
@@ -75,7 +74,7 @@ def test_transformed_costs_mu1_zero_is_singleton_min():
         inst = build_instance(beta=beta, fees=[1], demands=[1], alpha=[[0]] * num_dcs)
         (sub,) = split_by_provider(inst)
         catalog = build_subset_catalog_capped(sub, max_replicas=num_dcs)
-        assert transformed_costs(catalog, sub)[0] == min(row[0] for row in beta)
+        assert transformed_costs(catalog, sub)[0] == min(row[0] for row in beta) * MICROS
 
 
 def test_step1_single_level(instance_g):

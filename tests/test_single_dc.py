@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 
 from datamarket.model import evaluate_cost, split_by_provider
+from datamarket.numeric import MICROS, to_micros
 from datamarket.single_dc import (
     LevelDependentCosts,
     NoBreakpoint,
+    _solve_categories,
     categorize,
     lower_single_dc_plan,
+    solve_from_fractional,
     solve_single_dc,
 )
 from oracles import breakpoints, make_subproblem, reconstruct_choices, single_dc_brute_force
@@ -123,6 +126,30 @@ def random_category_problem(rng, max_levels=6, max_clients=30):
     for _ in range(rng.randint(0, max_clients)):
         counts[rng.randrange(levels)] += 1
     return beta, fees, counts
+
+
+def test_micro_unit_costs_give_the_money_plans():
+    # Datum and single-dc hand the category program int micro-units. Scaling
+    # every cost by MICROS keeps the sign of each reduced cost, which is all
+    # Bland's rule reads, and the ratio test reads no cost: same pivots, same
+    # plan, objective scaled. solve_from_fractional's reduced interval LP is
+    # reached from hand-built fractional openings y.
+    rng = random.Random(2016)
+    sizes = set()
+    for _ in range(300):
+        beta, fees, counts = random_category_problem(rng, max_levels=16)
+        sizes.add(len(beta))
+        y = [F(rng.randint(0, 4), 4) for _ in range(len(beta) - 1)] + [F(1)]
+        micro_beta, micro_fees = [to_micros(b) for b in beta], [to_micros(f) for f in fees]
+        for money, micros in (
+            (_solve_categories(beta, fees, counts),
+             _solve_categories(micro_beta, micro_fees, counts)),
+            (solve_from_fractional(beta, fees, counts, y),
+             solve_from_fractional(micro_beta, micro_fees, counts, y)),
+        ):
+            assert (micros.open_levels, micros.choices) == (money.open_levels, money.choices)
+            assert micros.objective == money.objective * MICROS
+    assert 16 in sizes
 
 
 def test_random_problems_match_brute_force():
