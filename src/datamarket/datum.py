@@ -7,6 +7,10 @@ single-data-center solver run on beta*, bulk rule included. Step 2 then
 places each purchased level on the replica set (a subset of data centers,
 capped at max_replicas members) minimizing placement plus delivery cost for
 the clients that level serves; given Step 1 this is a closed-form argmin.
+The catalog holds each subset's placement cost only: a subset's delivery
+cost for a client group is priced from the provider's D x C execution-cost
+rows, restricted to the group, when Step 2 (or the parametric transform)
+asks for it.
 
 The conservative transform beta*(l) = min over subsets of beta_v(l) makes
 Step 1's per-query objective a lower bound on the operation-plus-purchasing
@@ -18,6 +22,7 @@ the default mu1 = mu2 = 0 keeps the conservative choice.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -69,23 +74,21 @@ Placements = tuple[tuple[int, tuple[int, ...]], ...]  # (level, subset) per leve
 
 @dataclass(frozen=True)
 class SubsetCatalog:
-    """Candidate replica sets with aggregated costs, in int micro-units.
+    """Candidate replica sets with their placement costs, in int micro-units.
 
     beta_v[k][l]: total placement cost of storing level l+1 on every member
-    of subset k. alpha_vc[k][c]: cheapest delivery from any member of subset
-    k to local client c (execution costs do not depend on the level here).
+    of subset k. Delivery costs are not tabled per subset: _subset_delivery
+    prices them per client group from the provider's D x C rows.
     """
 
     subsets: tuple[tuple[int, ...], ...]
     beta_v: tuple[tuple[int, ...], ...]
-    alpha_vc: tuple[tuple[int, ...], ...]
 
 
 def build_subset_catalog_capped(sub: ProviderSubproblem, max_replicas: int) -> SubsetCatalog:
-    """All nonempty data-center subsets of size <= max_replicas with exact
-    aggregate costs: beta_v sums members, alpha_vc takes the member minimum.
-    Refuses families larger than CATALOG_CEILING, and execution costs that
-    vary with the level."""
+    """All nonempty data-center subsets of size <= max_replicas with their
+    exact placement costs (beta_v sums the members). Refuses families larger
+    than CATALOG_CEILING, and execution costs that vary with the level."""
     num_dcs = sub.num_dcs
     if not 1 <= max_replicas <= num_dcs:
         raise DatamarketError(f"max_replicas must be in 1..{num_dcs}")
@@ -100,11 +103,45 @@ def build_subset_catalog_capped(sub: ProviderSubproblem, max_replicas: int) -> S
         subsets.extend(combinations(range(num_dcs), size))
 
     beta_v = tuple(tuple(map(sum, zip(*(sub.beta[d] for d in v)))) for v in subsets)
+    return SubsetCatalog(tuple(subsets), beta_v)
+
+
+def _client_groups(client_levels: Sequence[int]) -> dict[int, list[int]]:
+    """Level -> the clients at that level, in client order."""
+    groups: dict[int, list[int]] = {}
+    for c, level in enumerate(client_levels):
+        groups.setdefault(level, []).append(c)
+    return groups
+
+
+def _group_rows(sub: ProviderSubproblem, group: Sequence[int]) -> Sequence[Sequence[int]]:
+    """Each data center's execution costs to the clients of group, in order
+    (level-independent costs, so level 1's table)."""
     rows = sub.alpha[0]
-    alpha_vc = tuple(
-        rows[v[0]] if len(v) == 1 else tuple(map(min, *(rows[d] for d in v))) for v in subsets
-    )
-    return SubsetCatalog(tuple(subsets), beta_v, alpha_vc)
+    if len(group) == len(sub.client_ids):
+        return rows
+    return list(map(gather(group), rows))
+
+
+def _subset_delivery(
+    sub: ProviderSubproblem, catalog: SubsetCatalog, group: Sequence[int]
+) -> list[int]:
+    """Per subset, in catalog order: the cost of serving each client of group
+    from its cheapest member. A pair uses min(x, y) = (x + y - |x - y|) / 2,
+    exact on ints (the sum is even), so the whole row runs in C."""
+    rows = _group_rows(sub, group)
+    sums = list(map(sum, rows))
+    delivery = []
+    for v in catalog.subsets:
+        if len(v) == 1:
+            delivery.append(sums[v[0]])
+        elif len(v) == 2:
+            i, j = v
+            gap = sum(map(abs, map(operator.sub, rows[i], rows[j])))
+            delivery.append((sums[i] + sums[j] - gap) // 2)
+        else:
+            delivery.append(sum(map(min, *(rows[d] for d in v))))
+    return delivery
 
 
 def transformed_costs(
@@ -127,24 +164,21 @@ def transformed_costs(
     if mu1 < 0 or mu2 < 0:
         raise DatamarketError("mu1 and mu2 must be nonnegative")
     if mu1 > 0:
-        by_min_level: dict[int, list[int]] = {}
-        for c, min_level in enumerate(sub.min_levels):
-            by_min_level.setdefault(min_level, []).append(c)
-        # Per subset, the delivery cost summed over each minimum level's clients.
-        group_sums = [
-            {m: sum(alpha[c] for c in group) for m, group in by_min_level.items()}
-            for alpha in catalog.alpha_vc
-        ]
+        # Per minimum level, each subset's delivery cost to that level's clients.
+        deliveries = {
+            m: _subset_delivery(sub, catalog, group)
+            for m, group in _client_groups(sub.min_levels).items()
+        }
     beta_star = []
     for l in range(1, sub.num_levels + 1):
         scores = [row[l - 1] for row in catalog.beta_v]
         if mu1 > 0:
             weights = {
-                m: quantize(math.exp(-float(mu2) * (l - m))) for m in by_min_level if m <= l
+                m: quantize(math.exp(-float(mu2) * (l - m))) for m in deliveries if m <= l
             }
             scores = [
-                score + mu1 * sum((w * sums[m] for m, w in weights.items()), ZERO)
-                for score, sums in zip(scores, group_sums)
+                score + mu1 * sum((w * deliveries[m][k] for m, w in weights.items()), ZERO)
+                for k, score in enumerate(scores)
             ]
         beta_star.append(min(scores, default=0))
     return tuple(beta_star)
@@ -162,14 +196,11 @@ def datum_step2(sub: ProviderSubproblem, catalog: SubsetCatalog, s1: SingleDcPla
 
     Ties break toward the smallest subset, then lexicographic member order.
     """
-    client_levels = s1.client_levels(sub)
+    groups = _client_groups(s1.client_levels(sub))
     placements = []
     for level in sorted(s1.open_levels):
-        group = [c for c, l in enumerate(client_levels) if l == level]
-        rows = catalog.alpha_vc
-        if len(group) < len(client_levels):
-            rows = map(gather(group), rows)
-        scores = [beta[level - 1] + sum(alpha) for beta, alpha in zip(catalog.beta_v, rows)]
+        delivery = _subset_delivery(sub, catalog, groups.get(level, ()))
+        scores = [beta[level - 1] + cost for beta, cost in zip(catalog.beta_v, delivery)]
         _, _, best = min(zip(scores, map(len, catalog.subsets), catalog.subsets))
         placements.append((level, best))
     return tuple(placements)
@@ -179,11 +210,22 @@ def lower_joint_plan(sub: ProviderSubproblem, placements: Placements, s1: Single
     """Expand subset placements to per-data-center decisions; each client is
     served at its Step-1 level from the subset member with the cheapest
     delivery (lowest index on ties)."""
-    subset_of = dict(placements)
-    served = [
-        (min(subset_of[level], key=lambda d: (sub.alpha[level - 1][d][c], d)), level)
-        for c, level in enumerate(s1.client_levels(sub))
-    ]
+    groups = _client_groups(s1.client_levels(sub))
+    served: list[tuple[int, int] | None] = [None] * len(sub.client_ids)
+    for level, subset in placements:
+        group = groups.get(level, ())
+        members = sorted(subset)
+        if len(members) == 1:
+            choices = members * len(group)
+        else:
+            rows = _group_rows(sub, group)
+            # The first minimum of each client's ascending member costs.
+            choices = [
+                members[costs.index(min(costs))]
+                for costs in zip(*(rows[d] for d in members))
+            ]
+        for c, d in zip(group, choices):
+            served[c] = (d, level)
     placed = ((d, level) for level, subset in placements for d in subset)
     return sub.lower(placed, served)
 

@@ -10,11 +10,13 @@ check with a Fraction comparison per demand.
 The exceptions are `DenseTableau`, the library's simplex tableau with its
 pivot swapped for the dense loop, which checks that the sparse pivot takes
 the same steps; `breakpoints`, which builds the `Breakpoints` that
-`reconstruct_choices` takes with the solver's `single_dc._first_reach`; and
-`step1_objective`, which sums Datum's public Step 1 over the providers.
-The plan helpers at the top, `haversine_gigameters`, `instance_log_ratios`,
-`breakpoints`, `reconstruct_choices` and `step1_objective` are used only by
-tests. Test-only; never a runtime dependency.
+`reconstruct_choices` takes with the solver's `single_dc._first_reach`;
+`step1_objective`, which sums Datum's public Step 1 over the providers; and
+`alpha_vc_datum_solve`, Datum with its Step 2 priced from a per-client
+subset table (`alpha_vc_catalog`) around the library's Step 1, split and
+price. The plan helpers at the top, `haversine_gigameters`,
+`instance_log_ratios`, `breakpoints`, `reconstruct_choices` and
+`step1_objective` are used only by tests. Test-only; never a runtime dependency.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from itertools import combinations
 from typing import Sequence
 
 from datamarket.datum import (
+    CATALOG_CEILING,
+    CatalogTooLarge,
     DatumConfig,
     build_subset_catalog_capped,
     datum_step1,
@@ -34,6 +38,7 @@ from datamarket.datum import (
 from datamarket.lp import _Tableau
 from datamarket.model import (
     CostBreakdown,
+    DatamarketError,
     MarketInstance,
     Plan,
     Provider,
@@ -41,11 +46,13 @@ from datamarket.model import (
     InfeasiblePlan,
     QualityLevel,
     UnsatisfiableDemand,
+    evaluate_cost,
     exec_cost_value,
+    gather,
     split_by_provider,
 )
 from datamarket.numeric import MICROS, geo_point, point_gigameters, quantize, to_micros
-from datamarket.single_dc import NoBreakpoint, _first_reach
+from datamarket.single_dc import LevelDependentCosts, NoBreakpoint, _first_reach, top_level_plan
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -290,6 +297,123 @@ def step1_objective(instance: MarketInstance, config: DatumConfig | None = None)
             beta_star = transformed_costs(catalog, sub, config.mu1, config.mu2)
             total += datum_step1(sub, beta_star).objective
     return total / MICROS
+
+
+@dataclass(frozen=True)
+class AlphaVcCatalog:
+    """The subset catalog as it was with a per-client table: alpha_vc[k][c]
+    is the cheapest delivery from any member of subset k to client c."""
+
+    subsets: tuple[tuple[int, ...], ...]
+    beta_v: tuple[tuple[int, ...], ...]
+    alpha_vc: tuple[tuple[int, ...], ...]
+
+
+def alpha_vc_catalog(sub: ProviderSubproblem, max_replicas: int) -> AlphaVcCatalog:
+    """All nonempty data-center subsets of size <= max_replicas with exact
+    aggregate costs: beta_v sums members, alpha_vc takes the member minimum.
+    Refuses families larger than CATALOG_CEILING, and execution costs that
+    vary with the level."""
+    num_dcs = sub.num_dcs
+    if not 1 <= max_replicas <= num_dcs:
+        raise DatamarketError(f"max_replicas must be in 1..{num_dcs}")
+    count = sum(math.comb(num_dcs, k) for k in range(1, max_replicas + 1))
+    if count > CATALOG_CEILING:
+        raise CatalogTooLarge(f"{count} subsets exceeds the ceiling of {CATALOG_CEILING}")
+    if not sub.level_independent:
+        raise LevelDependentCosts(f"provider {sub.provider_id}: execution costs vary with level")
+
+    subsets: list[tuple[int, ...]] = []
+    for size in range(1, max_replicas + 1):
+        subsets.extend(combinations(range(num_dcs), size))
+
+    beta_v = tuple(tuple(map(sum, zip(*(sub.beta[d] for d in v)))) for v in subsets)
+    rows = sub.alpha[0]
+    alpha_vc = tuple(
+        rows[v[0]] if len(v) == 1 else tuple(map(min, *(rows[d] for d in v))) for v in subsets
+    )
+    return AlphaVcCatalog(tuple(subsets), beta_v, alpha_vc)
+
+
+def alpha_vc_transformed_costs(
+    catalog: AlphaVcCatalog,
+    sub: ProviderSubproblem,
+    mu1: Fraction = ZERO,
+    mu2: Fraction = ZERO,
+) -> tuple[int | Fraction, ...]:
+    """beta*(l) summed from the per-client table."""
+    if mu1 < 0 or mu2 < 0:
+        raise DatamarketError("mu1 and mu2 must be nonnegative")
+    if mu1 > 0:
+        by_min_level: dict[int, list[int]] = {}
+        for c, min_level in enumerate(sub.min_levels):
+            by_min_level.setdefault(min_level, []).append(c)
+        # Per subset, the delivery cost summed over each minimum level's clients.
+        group_sums = [
+            {m: sum(alpha[c] for c in group) for m, group in by_min_level.items()}
+            for alpha in catalog.alpha_vc
+        ]
+    beta_star = []
+    for l in range(1, sub.num_levels + 1):
+        scores = [row[l - 1] for row in catalog.beta_v]
+        if mu1 > 0:
+            weights = {
+                m: quantize(math.exp(-float(mu2) * (l - m))) for m in by_min_level if m <= l
+            }
+            scores = [
+                score + mu1 * sum((w * sums[m] for m, w in weights.items()), ZERO)
+                for score, sums in zip(scores, group_sums)
+            ]
+        beta_star.append(min(scores, default=0))
+    return tuple(beta_star)
+
+
+def alpha_vc_step2(sub: ProviderSubproblem, catalog: AlphaVcCatalog, s1):
+    """Step 2 scored from the per-client table."""
+    client_levels = s1.client_levels(sub)
+    placements = []
+    for level in sorted(s1.open_levels):
+        group = [c for c, l in enumerate(client_levels) if l == level]
+        rows = catalog.alpha_vc
+        if len(group) < len(client_levels):
+            rows = map(gather(group), rows)
+        scores = [beta[level - 1] + sum(alpha) for beta, alpha in zip(catalog.beta_v, rows)]
+        _, _, best = min(zip(scores, map(len, catalog.subsets), catalog.subsets))
+        placements.append((level, best))
+    return tuple(placements)
+
+
+def alpha_vc_lower(sub: ProviderSubproblem, placements, s1) -> Plan:
+    """Lowering with a per-client (cost, index) key over the subset."""
+    subset_of = dict(placements)
+    served = [
+        (min(subset_of[level], key=lambda d: (sub.alpha[level - 1][d][c], d)), level)
+        for c, level in enumerate(s1.client_levels(sub))
+    ]
+    placed = ((d, level) for level, subset in placements for d in subset)
+    return sub.lower(placed, served)
+
+
+def alpha_vc_datum_solve(
+    instance: MarketInstance, config: DatumConfig | None = None
+) -> tuple[Plan, CostBreakdown]:
+    """datum_solve with Step 2, the mu1 transform and the lowering run on
+    the per-client catalog: the reference the table-free pricing must
+    match plan for plan and total for total."""
+    config = config or DatumConfig()
+    plans = []
+    for sub in split_by_provider(instance):
+        if not sub.client_ids:
+            continue
+        catalog = alpha_vc_catalog(sub, min(config.max_replicas, sub.num_dcs))
+        if sub.contracting == "bulk":
+            s1 = top_level_plan(sub, alpha_vc_transformed_costs(catalog, sub))
+        else:
+            beta_star = alpha_vc_transformed_costs(catalog, sub, config.mu1, config.mu2)
+            s1 = datum_step1(sub, beta_star)
+        plans.append(alpha_vc_lower(sub, alpha_vc_step2(sub, catalog, s1), s1))
+    plan = Plan.union(plans)
+    return plan, evaluate_cost(instance, plan)
 
 
 def random_market(

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_instance
 from datamarket.baselines import opt_cost
@@ -13,16 +15,18 @@ from datamarket.datum import (
     CatalogTooLarge,
     DatumConfig,
     LevelDependentCosts,
+    _subset_delivery,
     build_subset_catalog_capped,
     datum_solve,
     datum_step1,
     datum_step2,
+    lower_joint_plan,
     transformed_costs,
 )
-from datamarket.model import split_by_provider
+from datamarket.model import ProviderSubproblem, split_by_provider
 from datamarket.numeric import MICROS
 from datamarket.single_dc import SingleDcPlan, solve_single_dc
-from oracles import market_enumeration, random_market, step1_objective
+from oracles import alpha_vc_datum_solve, market_enumeration, random_market, step1_objective
 
 F = Fraction
 
@@ -32,7 +36,7 @@ def test_catalog_two_dcs(instance_g):
     catalog = build_subset_catalog_capped(sub, max_replicas=2)
     assert catalog.subsets == ((0,), (1,), (0, 1))
     assert [F(row[0], MICROS) for row in catalog.beta_v] == [5, 7, 12]
-    assert [F(row[0], MICROS) for row in catalog.alpha_vc] == [4, 1, 1]
+    assert [F(cost, MICROS) for cost in _subset_delivery(sub, catalog, [0])] == [4, 1, 1]
 
 
 def test_catalog_singletons_only():
@@ -206,10 +210,90 @@ def test_step2_is_optimal_given_step1():
             for k, subset in enumerate(catalog.subsets):
                 score = catalog.beta_v[k][level - 1]
                 for c in group:
-                    score += catalog.alpha_vc[k][c]
+                    score += min(sub.alpha[0][d][c] for d in subset)
                 scores.append(score)
             k_chosen = catalog.subsets.index(chosen[level])
             assert scores[k_chosen] == min(scores)
+
+
+# Execution costs with many ties, and values past 2^63.
+_COSTS = st.integers(0, 3) | st.integers(2**63 - 2, 2**63 + 2) | st.just(2**70)
+
+
+@st.composite
+def _priced_groups(draw):
+    """A level-independent subproblem, a replica cap and a client group:
+    empty, every client, or a random part."""
+    num_dcs = draw(st.integers(1, 5))
+    num_clients = draw(st.integers(0, 6))
+    rows = tuple(
+        tuple(draw(_COSTS) for _ in range(num_clients)) for _ in range(num_dcs)
+    )
+    sub = ProviderSubproblem(
+        provider_id="p",
+        fees=(0,),
+        dc_ids=tuple(f"dc{d}" for d in range(num_dcs)),
+        beta=((0,),) * num_dcs,
+        client_ids=tuple(f"c{c}" for c in range(num_clients)),
+        min_levels=(1,) * num_clients,
+        alpha=(rows,),
+        level_independent=True,
+        contracting="per_query",
+    )
+    kind = draw(st.sampled_from(["empty", "every", "part"]))
+    if kind == "empty":
+        group = []
+    elif kind == "every":
+        group = list(range(num_clients))
+    else:
+        group = [c for c in range(num_clients) if draw(st.booleans())]
+    return sub, draw(st.integers(1, num_dcs)), group
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_priced_groups())
+def test_subset_delivery_matches_brute_force(case):
+    sub, max_replicas, group = case
+    catalog = build_subset_catalog_capped(sub, max_replicas)
+    rows = sub.alpha[0]
+    expected = [sum(min(rows[d][c] for d in v) for c in group) for v in catalog.subsets]
+    assert _subset_delivery(sub, catalog, group) == expected
+
+
+def test_datum_matches_the_per_client_catalog():
+    # Same plans and exact breakdowns as Step 2, the mu1 transform and the
+    # lowering priced from a per-client subset table.
+    rng = random.Random(19)
+    configs = [
+        DatumConfig(max_replicas=k, mu1=mu1, mu2=F(1))
+        for k in (1, 2, 3, 4)
+        for mu1 in (F(0), F(1, 2))
+    ]
+    for i in range(400):
+        bulk = i % 2 == 1
+        inst = random_market(
+            rng,
+            max_dcs=4,
+            bulk=bulk,
+            level_independent_beta=bulk,
+            force_top_demand=bulk,
+        )
+        for config in configs:
+            if config.max_replicas > len(inst.data_centers):
+                continue
+            assert datum_solve(inst, config) == alpha_vc_datum_solve(inst, config)
+
+
+def test_lowering_breaks_ties_to_the_lowest_index():
+    inst = build_instance(
+        beta=[[1], [1], [1]], fees=[1], demands=[1, 1], alpha=[[5, 2], [5, 2], [5, 2]]
+    )
+    (sub,) = split_by_provider(inst)
+    s1 = SingleDcPlan(frozenset({1}), ((1, 1),), F(0))
+    for subset in ((0, 2), (2, 0), (2, 1, 0), (1, 2)):
+        plan = lower_joint_plan(sub, ((1, subset),), s1)
+        dc = sub.dc_ids[min(subset)]
+        assert {(c, d) for _, c, d, _ in plan.assignments} == {("c1", dc), ("c2", dc)}
 
 
 def test_bulk_geo_buys_top_level():
