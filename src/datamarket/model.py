@@ -23,9 +23,10 @@ from typing import Callable, Iterable, Sequence
 
 from datamarket.numeric import (
     MICROS,
-    distance_cost,
     distance_grid,
     format_money,
+    geo_point,
+    pair_micros,
     to_micros,
     to_rational,
 )
@@ -260,8 +261,10 @@ def exec_cost_value(
         client = instance.clients[client_idx]
         if dc.location is None or client.location is None:
             raise ValueError("distance-based execution costs require coordinates")
-        assert model.rate_per_gigameter is not None
-        return distance_cost(*dc.location, *client.location, model.rate_per_gigameter)
+        rate = model.rate_per_gigameter
+        assert rate is not None
+        p, q = geo_point(*dc.location), geo_point(*client.location)
+        return Fraction(pair_micros(p, q, rate.numerator, rate.denominator), MICROS)
     tensor = model.alpha_map()[provider_id]
     return tensor[dc_idx][client_idx][level - 1]
 

@@ -15,20 +15,20 @@ of micro-units (a product with a quantized weight).
 to_micros converts a Fraction to micro-units and refuses any value that is
 not a whole number of quanta. Distance costs are rounded once, to the
 nearest micro-unit of the exact product of the float haversine and the
-rate (distance_micros); distance_cost is the same value as a Fraction.
-That rounding takes one of two routes. A float estimate of the product,
-within a relative 2**-51 of it, picks the integer where its distance from
-the nearest half-micro exceeds the bound (with a margin), which proves
-that integer is the exact rounding; every other case (a tie or near-tie,
-a product of 2**47 micro-units or more, a scale that overflows a float, a
-negative product) runs the exact int route. Both give the same int.
+rate. That rounding takes one of two routes. A float estimate of the
+product, within a relative 2**-51 of it, picks the integer where its
+distance from the nearest half-micro exceeds the bound (with a margin),
+which proves that integer is the exact rounding; every other case (a tie or
+near-tie, a product of 2**47 micro-units or more, a scale that overflows a
+float, a negative product) runs the exact int route. Both give the same int.
 
 The haversine comes in two steps. The per-point step (geo_point) turns a
 (latitude, longitude) into radians and the cosine of the latitude; the
 per-pair step (point_gigameters, and pair_micros, which rounds its product
-with the rate) does the rest. distance_micros composes them for one pair;
-distance_grid runs the per-point step once per point and the per-pair step
-once per cell, with identical floats and so identical micro-units.
+with the rate) does the rest. pair_micros is the one kernel that turns a
+distance into micro-units: distance_grid runs the per-point step once per
+point and pair_micros once per cell, and a caller that prices single pairs
+calls pair_micros on geo_points itself. There are no per-pair wrappers.
 """
 
 from __future__ import annotations
@@ -192,25 +192,14 @@ def pair_micros(
     return micros
 
 
-def distance_micros(
-    lat1: float, lon1: float, lat2: float, lon2: float, rate_per_gigameter: Fraction
-) -> int:
-    """pair_micros of two (latitude, longitude) points."""
-    return pair_micros(
-        geo_point(lat1, lon1),
-        geo_point(lat2, lon2),
-        rate_per_gigameter.numerator,
-        rate_per_gigameter.denominator,
-    )
-
-
 def distance_grid(
     origins: Sequence[tuple[float, float]],
     targets: Sequence[tuple[float, float]],
     rate_per_gigameter: Fraction,
 ) -> list[list[int]]:
-    """distance_micros of every (origin, target) pair, [origin][target]:
-    the per-point step once per point, the per-pair step once per cell."""
+    """pair_micros of every (origin, target) pair of (latitude, longitude)
+    points, [origin][target]: the per-point step once per point, the
+    per-pair step once per cell."""
     num, den = rate_per_gigameter.numerator, rate_per_gigameter.denominator
     points = [geo_point(*t) for t in targets]
     return [
@@ -218,9 +207,3 @@ def distance_grid(
         for p in (geo_point(*o) for o in origins)
     ]
 
-
-def distance_cost(
-    lat1: float, lon1: float, lat2: float, lon2: float, rate_per_gigameter: Fraction
-) -> Fraction:
-    """distance_micros as money."""
-    return Fraction(distance_micros(lat1, lon1, lat2, lon2, rate_per_gigameter), MICROS)

@@ -39,7 +39,7 @@ from datamarket.model import (
     Provider,
     QualityLevel,
 )
-from datamarket.numeric import QUANTUM, distance_cost, quantize, to_rational
+from datamarket.numeric import MICROS, QUANTUM, distance_grid, quantize, to_rational
 from datamarket.rng import SplitMix64
 
 ZERO = Fraction(0)
@@ -97,8 +97,24 @@ class ScenarioParams:
         for name in ("num_providers", "num_clients", "levels_per_provider"):
             if getattr(self, name) < 1:
                 raise DatamarketError(f"{name} must be positive")
-        if not 0 < self.demand_probability() <= 1:
+        prob = self.demand_probability()
+        if not 0 < prob <= 1:
             raise DatamarketError("avg_providers_per_client must be in (0, num_providers]")
+        # A client's round of draws is redrawn while it comes up empty.
+        if 1 - (1 - prob) ** self.num_providers < 1e-3:
+            raise DatamarketError(
+                "avg_providers_per_client is too small: a client would need more than"
+                " 1000 rounds of demand draws on average"
+            )
+        try:
+            zipf_total = sum(zipf_table(self.levels_per_provider, self.zipf_shape)[1])
+        except (OverflowError, ZeroDivisionError):
+            zipf_total = math.inf
+        if not math.isfinite(zipf_total):
+            raise DatamarketError(
+                f"zipf_shape {self.zipf_shape} overflows the Zipf weights of"
+                f" {self.levels_per_provider} levels"
+            )
         if self.pareto_shape <= 1:
             raise DatamarketError("pareto_shape must exceed 1 for a finite mean")
         if self.ratio_band_to_fee <= self.ratio_internal_to_external:
@@ -122,16 +138,14 @@ def calibration_scales(
     return s_alpha, s_beta
 
 
-def zipf_level(rng: SplitMix64, num_levels: int, shape: float) -> int:
-    """Level draw centered on the middle of the menu.
-
-    Levels are ranked by distance from round(L/2), ties toward the lower
-    level; rank r is drawn with probability proportional to r^-shape.
-    """
+def zipf_table(num_levels: int, shape: float) -> tuple[list[int], list[float]]:
+    """Levels ranked by distance from round(L/2) (round-half-even), ties
+    toward the lower level, and the weight r^-shape of each rank r: a level
+    draw is ranked[rng.weighted_index(weights)]."""
     center = round(num_levels / 2)
     ranked = sorted(range(1, num_levels + 1), key=lambda l: (abs(l - center), l))
     weights = [1.0 / (r**shape) for r in range(1, num_levels + 1)]
-    return ranked[rng.weighted_index(weights)]
+    return ranked, weights
 
 
 def pareto_draw(rng: SplitMix64, mean: float, shape: float) -> Fraction:
@@ -176,8 +190,11 @@ def generate(params: ScenarioParams) -> MarketInstance:
 
     # Phase 5: demanded levels.
     levels = params.levels_per_provider
+    ranked, zipf_weights = zipf_table(levels, params.zipf_shape)
+    ranked_quality = [Fraction(l) for l in ranked]
     demand_levels = [
-        [zipf_level(rng, levels, params.zipf_shape) for _ in chosen] for chosen in demand_sets
+        [ranked_quality[rng.weighted_index(zipf_weights)] for _ in chosen]
+        for chosen in demand_sets
     ]
 
     # Phase 6: fees, sorted ascending with strictness enforced at the quantum.
@@ -191,17 +208,13 @@ def generate(params: ScenarioParams) -> MarketInstance:
                 draws[k] = draws[k - 1] + QUANTUM
         fee_table.append(draws)
 
-    # Raw distance costs, then calibration to the ratio targets.
-    beta_raw = [
-        [distance_cost(pc.lat, pc.lon, dc.lat, dc.lon, rate) for dc in dc_cities]
-        for pc in provider_cities
-    ]
-    alpha_raw = [
-        [distance_cost(dc.lat, dc.lon, cc.lat, cc.lon, rate) for cc in client_cities]
-        for dc in dc_cities
-    ]
-    alpha_sum = sum((v for row in alpha_raw for v in row), ZERO)
-    beta_sum = sum((v for row in beta_raw for v in row), ZERO)
+    # Raw distance costs in micro-units (so their sums are exact), then
+    # calibration to the ratio targets.
+    dc_points = [(c.lat, c.lon) for c in dc_cities]
+    beta_raw = distance_grid([(c.lat, c.lon) for c in provider_cities], dc_points, rate)
+    alpha_raw = distance_grid(dc_points, [(c.lat, c.lon) for c in client_cities], rate)
+    alpha_sum = Fraction(sum(map(sum, alpha_raw)), MICROS)
+    beta_sum = Fraction(sum(map(sum, beta_raw)), MICROS)
     fee_sum = sum((f for fees in fee_table for f in fees), ZERO)
     r1 = quantize(10.0**params.ratio_band_to_fee)
     r2 = quantize(10.0**params.ratio_internal_to_external)
@@ -215,8 +228,7 @@ def generate(params: ScenarioParams) -> MarketInstance:
                 for l in range(levels)
             ),
             oper_cost=tuple(
-                tuple(quantize(s_beta * beta_raw[p][d]) for _ in range(levels))
-                for d in range(params.num_data_centers)
+                (quantize(s_beta * Fraction(b, MICROS)),) * levels for b in beta_raw[p]
             ),
         )
         for p in range(params.num_providers)
@@ -225,8 +237,7 @@ def generate(params: ScenarioParams) -> MarketInstance:
         Client(
             id=f"c{c + 1}",
             demands=tuple(
-                (f"p{p + 1}", Fraction(level))
-                for p, level in zip(demand_sets[c], demand_levels[c])
+                (f"p{p + 1}", level) for p, level in zip(demand_sets[c], demand_levels[c])
             ),
             location=(client_cities[c].lat, client_cities[c].lon),
         )

@@ -11,12 +11,17 @@ The exceptions are `DenseTableau`, the library's simplex tableau with its
 pivot swapped for the dense loop, which checks that the sparse pivot takes
 the same steps; `breakpoints`, which builds the `Breakpoints` that
 `reconstruct_choices` takes with the solver's `single_dc._first_reach`;
-`step1_objective`, which sums Datum's public Step 1 over the providers; and
-`alpha_vc_datum_solve`, Datum with its Step 2 priced from a per-client
-subset table (`alpha_vc_catalog`) around the library's Step 1, split and
-price. The plan helpers at the top, `haversine_gigameters`,
-`instance_log_ratios`, `breakpoints`, `reconstruct_choices` and
-`step1_objective` are used only by tests. Test-only; never a runtime dependency.
+`step1_objective`, which sums Datum's public Step 1 over the providers;
+`distance_micros` and `distance_cost`, the library's `pair_micros` kernel on
+one pair of (latitude, longitude) points, which tests hold against the
+Fraction distance formula; `zipf_level`, one level draw from the
+generator's `scenario.zipf_table`; and `alpha_vc_datum_solve`, Datum with
+its Step 2 priced from a per-client subset table (`alpha_vc_catalog`)
+around the library's Step 1, split and price. The plan helpers at the top,
+`haversine_gigameters`, `instance_log_ratios`, `breakpoints`,
+`reconstruct_choices`, `step1_objective`, `distance_micros`,
+`distance_cost` and `zipf_level` are used only by tests. Test-only; never a
+runtime dependency.
 """
 
 from __future__ import annotations
@@ -51,7 +56,16 @@ from datamarket.model import (
     gather,
     split_by_provider,
 )
-from datamarket.numeric import MICROS, geo_point, point_gigameters, quantize, to_micros
+from datamarket.numeric import (
+    MICROS,
+    geo_point,
+    pair_micros,
+    point_gigameters,
+    quantize,
+    to_micros,
+)
+from datamarket.rng import SplitMix64
+from datamarket.scenario import zipf_table
 from datamarket.single_dc import LevelDependentCosts, NoBreakpoint, _first_reach, top_level_plan
 
 ZERO = Fraction(0)
@@ -99,6 +113,31 @@ def haversine_gigameters(lat1: float, lon1: float, lat2: float, lon2: float) -> 
 def distance_cost_oracle(lat1, lon1, lat2, lon2, rate) -> Fraction:
     """Haversine gigameters times the rate, quantized as a Fraction."""
     return quantize(Fraction(haversine_gigameters(lat1, lon1, lat2, lon2)) * rate)
+
+
+def distance_micros(
+    lat1: float, lon1: float, lat2: float, lon2: float, rate_per_gigameter: Fraction
+) -> int:
+    """pair_micros of two (latitude, longitude) points."""
+    return pair_micros(
+        geo_point(lat1, lon1),
+        geo_point(lat2, lon2),
+        rate_per_gigameter.numerator,
+        rate_per_gigameter.denominator,
+    )
+
+
+def distance_cost(
+    lat1: float, lon1: float, lat2: float, lon2: float, rate_per_gigameter: Fraction
+) -> Fraction:
+    """distance_micros as money."""
+    return Fraction(distance_micros(lat1, lon1, lat2, lon2, rate_per_gigameter), MICROS)
+
+
+def zipf_level(rng: SplitMix64, num_levels: int, shape: float) -> int:
+    """One level draw from the generator's Zipf table."""
+    ranked, weights = zipf_table(num_levels, shape)
+    return ranked[rng.weighted_index(weights)]
 
 
 def exec_cost_oracle(instance: MarketInstance, provider_id, dc_idx, client_idx, level) -> Fraction:

@@ -872,3 +872,21 @@ def test_convert_from_invalid_uflp_exits_2(tmp_path, capsys, facilities, clients
     code, stdout, err = run(capsys, "convert", "--from-uflp", path, "--out", str(out))
     assert_refused(code, stdout, err, 2, reason)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (("--avg-providers-per-client", "1e-300"), "avg_providers_per_client is too small"),
+        (("--zipf-shape", "2000", "--levels", "3"), "zipf_shape 2000.0 overflows"),
+        (("--zipf-shape", "-2000", "--levels", "3"), "zipf_shape -2000.0 overflows"),
+    ],
+    ids=["avg-providers-1e-300", "zipf-2000", "zipf-minus-2000"],
+)
+def test_generate_refuses_degenerate_draws_by_name(tmp_path, capsys, monkeypatch, flags, reason):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(
+        capsys, "generate", "--seed", "1", "--out", "unused.json", *SMALL_GEO, *flags
+    )
+    assert_refused(code, stdout, err, 2, f"invalid scenario parameters: {reason}")
+    assert not (tmp_path / "unused.json").exists()

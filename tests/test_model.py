@@ -38,9 +38,7 @@ from datamarket.model import (
 from datamarket.numeric import (
     MAX_INTEGER_DIGITS,
     MICROS,
-    distance_cost,
     distance_grid,
-    distance_micros,
     format_money,
     quantize,
     to_micros,
@@ -49,7 +47,9 @@ from datamarket.numeric import (
 from datamarket.scenario import InvalidRatioTargets, ScenarioParams, generate
 from oracles import (
     check_plan_oracle,
+    distance_cost,
     distance_cost_oracle,
+    distance_micros,
     empty_plan,
     evaluate_cost_oracle,
     haversine_gigameters,

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from datamarket.cities import CITIES, DC_STATES, cities_in_state
-from datamarket.model import split_by_provider, validate_instance
+from datamarket.model import DatamarketError, instance_to_json, split_by_provider, validate_instance
 from datamarket.scenario import (
     InvalidRatioTargets,
     ScenarioParams,
@@ -13,10 +16,9 @@ from datamarket.scenario import (
     generate,
     pareto_draw,
     sweep_params,
-    zipf_level,
 )
 from datamarket.rng import SplitMix64
-from oracles import instance_log_ratios
+from oracles import instance_log_ratios, zipf_level
 
 F = Fraction
 
@@ -138,3 +140,83 @@ def test_sweep_instances_hit_their_targets():
         band, internal = instance_log_ratios(generate(point))
         assert abs(band - point.ratio_band_to_fee) <= 1e-3
         assert abs(internal - point.ratio_internal_to_external) <= 1e-3
+
+
+# sha256 of each generated instance's sorted JSON, recorded before the
+# generator built its distance, beta and Zipf tables once per instance.
+GENERATOR_PIN_BASE = replace(SMALL, seed=11, num_clients=20)
+GENERATOR_PINS = {
+    "one-level": (
+        dict(levels_per_provider=1),
+        "34d387f80f435941443f0e052b7aeca1b00a00cdc7acfcc188c8526eb0cbf7d0",
+    ),
+    "five-levels": (
+        dict(levels_per_provider=5),
+        "ecdd5ef4b2ead878f698811230a852e919a9d3296e84f173eb00fbfac1e8cd02",
+    ),
+    "ten-dcs-120-clients": (
+        dict(num_data_centers=10, num_clients=120),
+        "f6e0e402712d73991ede7054b797856a6f53a1baf0b0dba86ef308c7591962c2",
+    ),
+    "rate-2.5": (
+        dict(rate_per_gigameter="2.5"),
+        "88bf723f9a53cd2305c33284ba5b5f2563dbf0b2035c0b4990ee744069b26ba7",
+    ),
+    "avg-1.5-providers": (
+        dict(avg_providers_per_client=1.5),
+        "e58b47ce68233f033747d392417beb4ae6d629034139409a55c0fdb64de9c404",
+    ),
+    "pareto-shape-3": (
+        dict(pareto_shape=3.0),
+        "2155fa94d2235beb36a6e72306074a6b07a2611576377a15b1b194b1f128c91f",
+    ),
+    "zipf-shape-0.5": (
+        dict(zipf_shape=0.5),
+        "08120e57ecbc2e022f6959bc839a203754c12139e508a3aa5f03d99fdf4dacf1",
+    ),
+    "ratio-targets-1.5-0.5": (
+        dict(ratio_band_to_fee=1.5, ratio_internal_to_external=0.5),
+        "a35e84ab7ddc7109fc1b2edde7dfe6da59848da77a39811a13fcf3bb29c00609",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_PINS))
+def test_generated_instance_bytes_pinned(name):
+    changes, digest = GENERATOR_PINS[name]
+    inst = generate(replace(GENERATOR_PIN_BASE, **changes))
+    text = json.dumps(instance_to_json(inst), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_five_levels_center_on_level_two():
+    # round(5 / 2) is 2 under round-half-even; the tie between 1 and 3 goes low.
+    assert zipf_level(SplitMix64(1), 5, 60.0) == 2
+
+
+@pytest.mark.parametrize("avg", [1e-300, 1e-6])
+def test_vanishing_demand_probability_is_refused(avg):
+    # p = avg / 20 empties a client's round with probability above 0.999.
+    with pytest.raises(DatamarketError, match="avg_providers_per_client is too small"):
+        replace(SMALL, num_providers=20, avg_providers_per_client=avg).validate()
+
+
+def test_small_demand_probability_still_generates():
+    inst = generate(replace(SMALL, num_providers=20, avg_providers_per_client=0.01))
+    assert all(c.demands for c in inst.clients)
+
+
+@pytest.mark.parametrize(
+    "levels, shape",
+    # At (1000, -102.7) every weight is finite but their sum, which the draw scales by, is not.
+    [(3, 2000.0), (3, -2000.0), (1000, -102.7)],
+)
+def test_overflowing_zipf_weights_are_refused(levels, shape):
+    with pytest.raises(DatamarketError, match=f"zipf_shape .* of {levels} levels"):
+        replace(SMALL, levels_per_provider=levels, zipf_shape=shape).validate()
+
+
+@pytest.mark.parametrize("shape", [2000.0, -2000.0])
+def test_one_level_generates_under_any_finite_zipf_shape(shape):
+    inst = generate(replace(SMALL, levels_per_provider=1, zipf_shape=shape))
+    assert {q for c in inst.clients for _, q in c.demands} == {1}
