@@ -54,7 +54,7 @@ from datamarket.model import (
     split_by_provider,
     validate_instance,
 )
-from datamarket.numeric import format_money, quantize, to_rational
+from datamarket.numeric import format_money, to_rational
 from datamarket.scenario import ScenarioParams, generate, sweep_params
 from datamarket.single_dc import lower_single_dc_plan, solve_single_dc
 
@@ -209,7 +209,7 @@ def cmd_solve(args) -> int:
     plan, breakdown = run_algorithm(instance, args.algorithm, config)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
-    cap = min(config.max_replicas, len(instance.data_centers))  # the cap Datum used
+    cap = config.replica_cap(len(instance.data_centers))
     plan_path = args.plan_out or (args.instance.removesuffix(".json") + ".plan.json")
     with open(plan_path, "w", encoding="utf-8") as fh:
         json.dump(plan_to_json(plan), fh, indent=2, sort_keys=True)
@@ -255,7 +255,7 @@ def _write_table(
     print("algorithm,mean_total,runs", file=sys.stderr)
     for name in sorted(totals):
         mean = sum(totals[name], Fraction(0)) / len(totals[name])
-        print(f"{name},{format_money(quantize(mean))},{len(totals[name])}", file=sys.stderr)
+        print(f"{name},{format_money(mean)},{len(totals[name])}", file=sys.stderr)
     return EXIT_OK
 
 

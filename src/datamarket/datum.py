@@ -68,6 +68,11 @@ class DatumConfig:
     mu1: Fraction = ZERO
     mu2: Fraction = ZERO
 
+    def replica_cap(self, num_dcs: int) -> int:
+        """The replica cap Datum uses on num_dcs data centers: a max_replicas
+        above num_dcs means all of them."""
+        return min(self.max_replicas, num_dcs)
+
 
 Placements = tuple[tuple[int, tuple[int, ...]], ...]  # (level, subset) per level bought
 
@@ -235,7 +240,7 @@ def _solve_provider(sub: ProviderSubproblem, config: DatumConfig) -> Plan:
     top level, for every client, and Step 2 places it: exact when operation
     and execution costs are level-independent (required), some client
     demands the top level and the catalog holds every subset."""
-    catalog = build_subset_catalog_capped(sub, min(config.max_replicas, sub.num_dcs))
+    catalog = build_subset_catalog_capped(sub, config.replica_cap(sub.num_dcs))
     if sub.contracting == "bulk":
         _require_level_independent(sub)
         s1 = top_level_plan(sub, transformed_costs(catalog, sub))

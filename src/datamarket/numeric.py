@@ -12,15 +12,15 @@ it leaves. The linear programs take whatever exact numbers they are given:
 Datum's mu1 anticipation term makes its transformed costs exact Fractions
 of micro-units (a product with a quantized weight).
 
-to_micros converts a Fraction to micro-units and refuses any value that is
-not a whole number of quanta. Distance costs are rounded once, to the
-nearest micro-unit of the exact product of the float haversine and the
-rate. That rounding takes one of two routes. A float estimate of the
-product, within a relative 2**-51 of it, picks the integer where its
-distance from the nearest half-micro exceeds the bound (with a margin),
-which proves that integer is the exact rounding; every other case (a tie or
-near-tie, a product of 2**47 micro-units or more, a scale that overflows a
-float, a negative product) runs the exact int route. Both give the same int.
+Money rounds by one rule: once, to the nearest multiple of 1e-6, ties to
+even. quantize, format_money and pair_micros round a Fraction with Python's
+exact round(); to_rational quantizes a decimal in one decimal context wide
+enough for MAX_INTEGER_DIGITS integer digits, the quantum places and a
+carry. to_micros converts a Fraction to micro-units and refuses any value
+that is not a whole number of quanta. Distance costs are the exact product
+of the float haversine and the rate, rounded by that rule; pair_micros
+reaches most of them through a float route that proves its estimate rounds
+to the same int.
 
 The haversine comes in two steps. The per-point step (geo_point) turns a
 (latitude, longitude) into radians and the cosine of the latitude; the
@@ -33,7 +33,7 @@ calls pair_micros on geo_points itself. There are no per-pair wrappers.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
 from fractions import Fraction
 from math import asin, cos, inf, radians, sin, sqrt
 from typing import Sequence
@@ -45,6 +45,11 @@ MICROS = 10**QUANTUM_PLACES
 # The most integer digits a decimal value may have: every finite float is
 # below 1e309. Larger values are refused rather than quantized.
 MAX_INTEGER_DIGITS = 309
+
+# to_rational's quantum, and a context with room for MAX_INTEGER_DIGITS
+# integer digits, the quantum places and a carry.
+_DECIMAL_QUANTUM = Decimal(1).scaleb(-QUANTUM_PLACES)
+_DECIMAL_CONTEXT = Context(prec=MAX_INTEGER_DIGITS + QUANTUM_PLACES + 1, rounding=ROUND_HALF_EVEN)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -59,8 +64,8 @@ def to_rational(value: str | int | float | Fraction | Decimal) -> Fraction:
     """Convert an external numeric value to an exact Fraction.
 
     Strings and floats are read as decimals and quantized to 1e-6
-    (round-half-even); a value with more than MAX_INTEGER_DIGITS integer
-    digits, an infinity or a NaN is refused. Ints and Fractions pass through
+    (round-half-even); a nonzero value with more than MAX_INTEGER_DIGITS
+    integer digits, an infinity or a NaN is refused. Ints and Fractions pass through
     unchanged. A bool is refused, although Python counts it as an int.
     """
     if isinstance(value, bool):
@@ -78,24 +83,12 @@ def to_rational(value: str | int | float | Fraction | Decimal) -> Fraction:
             raise ValueError(f"not a decimal number: {value!r}") from exc
         if not dec.is_finite():
             raise ValueError(f"not a finite decimal number: {value!r}")
-        try:
-            quantized = dec.quantize(Decimal(1).scaleb(-QUANTUM_PLACES), rounding=ROUND_HALF_EVEN)
-        except InvalidOperation as exc:
-            # Beyond the default 28 digits: retry with enough precision for
-            # the integer digits, the quantum places and a carry, up to
-            # MAX_INTEGER_DIGITS.
-            digits = dec.adjusted() + 1
-            if digits > MAX_INTEGER_DIGITS:
-                raise ValueError(
-                    f"decimal number too large: {value!r} has more than"
-                    f" {MAX_INTEGER_DIGITS} integer digits"
-                ) from exc
-            with localcontext() as ctx:
-                ctx.prec = digits + QUANTUM_PLACES + 1
-                quantized = dec.quantize(
-                    Decimal(1).scaleb(-QUANTUM_PLACES), rounding=ROUND_HALF_EVEN
-                )
-        return Fraction(quantized)
+        if dec and dec.adjusted() + 1 > MAX_INTEGER_DIGITS:
+            raise ValueError(
+                f"decimal number too large: {value!r} has more than"
+                f" {MAX_INTEGER_DIGITS} integer digits"
+            )
+        return Fraction(dec.quantize(_DECIMAL_QUANTUM, context=_DECIMAL_CONTEXT))
     raise TypeError(f"cannot convert {type(value).__name__} to a rational")
 
 
@@ -116,25 +109,16 @@ def to_micros(value: Fraction | int) -> int:
 
 def quantize(value: Fraction | float) -> Fraction:
     """Round to the nearest multiple of 1e-6, ties to even."""
-    frac = Fraction(value) * 10**QUANTUM_PLACES
-    floor = frac.numerator // frac.denominator
-    rem = frac - floor
-    half = Fraction(1, 2)
-    if rem > half or (rem == half and floor % 2 != 0):
-        floor += 1
-    return Fraction(floor, 10**QUANTUM_PLACES)
+    return Fraction(round(Fraction(value) * MICROS), MICROS)
 
 
 def format_money(value: Fraction) -> str:
     """Render a rational as a 6-place decimal string.
 
     Values are expected to be multiples of 1e-6 (all costs in this package
-    are); anything finer is quantized first.
+    are); anything finer is rounded to one, ties to even.
     """
-    scaled = value * MICROS
-    if scaled.denominator != 1:
-        scaled = quantize(value) * MICROS
-    units = int(scaled)
+    units = round(value * MICROS)
     sign = "-" if units < 0 else ""
     units = abs(units)
     return f"{sign}{units // MICROS}.{units % MICROS:0{QUANTUM_PLACES}d}"
@@ -173,7 +157,7 @@ def pair_micros(
     of y, so round(y) is the exact rounding and is returned. Every other
     case (a tie or near-tie, a product of 2**47 micro-units or more, a
     scale too large for a float, a negative product) takes the exact int
-    route: the ratio of ints, divmod, ties to even.
+    route: round() of the exact ratio of ints.
     """
     gm = point_gigameters(p, q)
     try:
@@ -185,11 +169,7 @@ def pair_micros(
         if abs(y - micros) < 0.5 - y * _FLOAT_ROUTE_SLACK:
             return micros
     num, den = gm.as_integer_ratio()
-    den *= rate_den
-    micros, rem = divmod(num * rate_num * MICROS, den)
-    if 2 * rem > den or (2 * rem == den and micros % 2):
-        micros += 1
-    return micros
+    return round(Fraction(num * rate_num * MICROS, den * rate_den))
 
 
 def distance_grid(

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -613,6 +614,89 @@ def test_to_rational_quantizes_values_past_28_digits(raw, expected):
 
 @pytest.mark.parametrize("raw", ["1e309", "-1e309", "1e400", "1e999999"])
 def test_to_rational_refuses_values_past_the_digit_cap(raw):
+    with pytest.raises(ValueError) as refused:
+        to_rational(raw)
+    assert str(refused.value) == (
+        f"decimal number too large: {raw!r} has more than {MAX_INTEGER_DIGITS} integer digits"
+    )
+
+
+HALF_QUANTUM = F(1, 2 * MICROS)
+
+# Fractions, among them exact ties between two multiples of 1e-6, and finite
+# floats, huge and tiny ones included.
+exact_money = st.one_of(
+    st.fractions(), st.integers(-(10**30), 10**30).map(lambda k: F(2 * k + 1, 2 * MICROS))
+)
+money_values = st.one_of(exact_money, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(money_values)
+def test_quantize_rounds_to_the_nearest_quantum_ties_to_even(x):
+    q = quantize(x)
+    units = q * MICROS
+    assert units.denominator == 1
+    assert abs(F(x) - q) <= HALF_QUANTUM
+    if abs(F(x) - q) == HALF_QUANTUM:
+        assert units.numerator % 2 == 0
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(exact_money)
+def test_format_money_renders_the_quantized_value(x):
+    text = format_money(x)
+    assert re.fullmatch(r"-?(0|[1-9][0-9]*)\.[0-9]{6}", text)
+    assert F(Decimal(text)) == quantize(x)
+    assert text.startswith("-") == (quantize(x) < 0)
+
+
+@st.composite
+def wide_decimal_strings(draw):
+    """Decimal strings with 29 to MAX_INTEGER_DIGITS integer digits, in
+    plain or scientific notation, with ties and carries among them."""
+    digits = draw(st.integers(29, MAX_INTEGER_DIGITS))
+    whole = str(
+        draw(st.one_of(st.integers(10 ** (digits - 1), 10**digits - 1), st.just(10**digits - 1)))
+    )
+    places = draw(
+        st.one_of(
+            st.text("0123456789", max_size=12),
+            st.from_regex(r"[0-9]{6}5", fullmatch=True),
+            st.just("9999995"),
+        )
+    )
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    if draw(st.booleans()):
+        return f"{sign}{whole[0]}.{whole[1:]}{places}e{digits - 1}"
+    return f"{sign}{whole}.{places}" if places else f"{sign}{whole}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(wide_decimal_strings())
+def test_to_rational_quantizes_wide_decimals_exactly(raw):
+    assert to_rational(raw) == quantize(F(Decimal(raw)))
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ("0e500", F(0)),
+        ("-0e999999", F(0)),
+        ("1e30", F(10**30)),
+        ("9" * MAX_INTEGER_DIGITS + ".9999995", F(10**MAX_INTEGER_DIGITS)),
+        ("-" + "9" * MAX_INTEGER_DIGITS + ".9999995", F(-(10**MAX_INTEGER_DIGITS))),
+        ("1e-999999999", F(0)),
+        ("-0.0000005", F(0)),
+        ("0.0000015", F(2, MICROS)),
+    ],
+)
+def test_to_rational_edge_values(raw, expected):
+    assert to_rational(raw) == expected
+
+
+@pytest.mark.parametrize("raw", ["1e309", "9" * (MAX_INTEGER_DIGITS + 1) + ".5", "-0.1e310"])
+def test_to_rational_refuses_nonzero_values_past_the_cap(raw):
     with pytest.raises(ValueError) as refused:
         to_rational(raw)
     assert str(refused.value) == (

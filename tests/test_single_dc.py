@@ -173,6 +173,13 @@ def test_random_problems_match_brute_force():
             assert fees[level - 1] == fees[cheapest - 1]
 
 
+@pytest.mark.parametrize("fees", [[2, 2], [3, 2]])
+def test_fees_that_do_not_strictly_increase_are_refused(fees):
+    sub = make_subproblem([3, 4], fees, [1, 1])
+    with pytest.raises(ValueError, match="^provider p: fees must strictly increase$"):
+        solve_single_dc(sub)
+
+
 def test_fractional_recovery_path():
     # Mixing two cost-tied binary optima yields a genuinely fractional
     # optimal opening vector; the breakpoint substitution must recover a
