@@ -207,9 +207,9 @@ class ProviderSubproblem:
     is level l's fee under the contracting mode: the per-query fee of each
     assignment, or the bulk fee of each purchase. alpha is level-major:
     alpha[l - 1] is the data-center-by-client table of level l. Where
-    execution costs do not depend on the level (distance costs, and explicit
-    tensors marked level_independent), every level holds the same table
-    object.
+    execution costs do not depend on the level (distance costs, explicit
+    tensors marked level_independent, and unmarked ones whose levels are
+    equal), every level holds the same table object.
     """
 
     provider_id: str
@@ -430,6 +430,10 @@ def _validate_exec_model(instance: MarketInstance) -> list[str]:
                         f"exec model {p.id}: marked level-independent but varies with level"
                         f" at dc {d} client {ci}"
                     )
+    listed = {p.id for p in instance.providers}
+    problems.extend(
+        f"exec model: alpha tensor for unknown provider {pid}" for pid in tensors if pid not in listed
+    )
     return problems
 
 
@@ -445,9 +449,11 @@ def split_by_provider(
 
     Each distinct execution cost is converted once: distance costs form one
     data-center-by-client table over all clients (distances, the solve's
-    distance_table, or one built here when it is not given), and a
-    level-independent explicit tensor is read at its first level only; then
-    every level of a subproblem holds the same table.
+    distance_table, or one built here when it is not given), and a tensor
+    marked level-independent is read at its first level only; then every
+    level of a subproblem holds the same table. An unmarked tensor is read at
+    every level, and its subproblem is level-independent when the levels'
+    tables are equal, which then share one table.
     """
     providers = {p.id: p for p in instance.providers}
     members: dict[str, list[int]] = {pid: [] for pid in providers}
@@ -475,6 +481,7 @@ def split_by_provider(
     subproblems = []
     for p in instance.providers:
         member_idx = members[p.id]
+        level_independent = True
         if model.mode == "distance":
             alpha = (tuple(map(gather(member_idx), shared)),) * p.num_levels
         elif model.level_independent:
@@ -487,6 +494,10 @@ def split_by_provider(
                 tuple(tuple(to_micros(row[ci][l]) for ci in member_idx) for row in tensors[p.id])
                 for l in range(p.num_levels)
             )
+            # Int tuples, compared in C.
+            level_independent = alpha[1:] == alpha[:-1]
+            if level_independent:
+                alpha = alpha[:1] * p.num_levels
         fee = p.bulk_fee if instance.contracting == "bulk" else p.fee
         subproblems.append(
             ProviderSubproblem(
@@ -497,7 +508,7 @@ def split_by_provider(
                 client_ids=tuple(instance.clients[ci].id for ci in member_idx),
                 min_levels=tuple(min_levels[p.id]),
                 alpha=alpha,
-                level_independent=model.level_independent,
+                level_independent=level_independent,
                 contracting=instance.contracting,
             )
         )

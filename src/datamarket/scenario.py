@@ -44,6 +44,13 @@ from datamarket.rng import SplitMix64
 
 ZERO = Fraction(0)
 
+# Size ceilings, checked before anything is allocated. They bound the level
+# menu, the (client, provider) demand draws and the provider-by-level fee
+# table; the paper default up to C=10000 (200,000 pairs) sits well inside.
+MAX_LEVELS = 1024
+MAX_CLIENT_PROVIDER_PAIRS = 1_000_000
+MAX_PROVIDER_LEVELS = 100_000
+
 
 class InvalidRatioTargets(DatamarketError):
     """The two ratio targets admit no positive calibration scales."""
@@ -97,6 +104,14 @@ class ScenarioParams:
         for name in ("num_providers", "num_clients", "levels_per_provider"):
             if getattr(self, name) < 1:
                 raise DatamarketError(f"{name} must be positive")
+        if self.levels_per_provider > MAX_LEVELS:
+            raise DatamarketError(f"levels_per_provider must be at most {MAX_LEVELS}")
+        for first, second, ceiling in (
+            ("num_clients", "num_providers", MAX_CLIENT_PROVIDER_PAIRS),
+            ("num_providers", "levels_per_provider", MAX_PROVIDER_LEVELS),
+        ):
+            if getattr(self, first) * getattr(self, second) > ceiling:
+                raise DatamarketError(f"{first} * {second} must be at most {ceiling:,}")
         prob = self.demand_probability()
         if not 0 < prob <= 1:
             raise DatamarketError("avg_providers_per_client must be in (0, num_providers]")
@@ -117,6 +132,15 @@ class ScenarioParams:
             )
         if self.pareto_shape <= 1:
             raise DatamarketError("pareto_shape must exceed 1 for a finite mean")
+        if self.pareto_mean < 0:
+            raise DatamarketError("pareto_mean must not be negative")
+        # The largest draw is pareto_draw's at the smallest uniform, 2**-53.
+        x_m = self.pareto_mean * (self.pareto_shape - 1) / self.pareto_shape
+        if not math.isfinite(x_m / (2.0**-53) ** (1.0 / self.pareto_shape)):
+            raise DatamarketError(
+                f"pareto_mean {self.pareto_mean} is too large: the largest Pareto draw"
+                " overflows a float"
+            )
         if self.ratio_band_to_fee <= self.ratio_internal_to_external:
             raise InvalidRatioTargets(
                 "ratio_band_to_fee must exceed ratio_internal_to_external"

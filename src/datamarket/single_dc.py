@@ -53,20 +53,25 @@ class NoBreakpoint(Exception):
 
 @dataclass(frozen=True)
 class SingleDcPlan:
-    """Binary open-level decisions plus each category's chosen level, and
-    the objective in the units of the costs the plan was solved on."""
+    """Binary open-level decisions and the objective, in the units of the
+    costs the plan was solved on."""
 
     open_levels: frozenset[int]
-    choices: tuple[tuple[int, int], ...]  # (category index, chosen level)
     objective: int | Fraction
 
-    def choice_map(self) -> dict[int, int]:
-        return dict(self.choices)
+    def serving_level(self, min_level: int) -> int:
+        """The open level serving clients whose minimum level is min_level:
+        the smallest open level at or above it. Fees strictly increase, so
+        no other choice is optimal."""
+        level = min((level for level in self.open_levels if level >= min_level), default=None)
+        if level is None:
+            raise AssertionError(f"category {min_level} has no open level at or above it")
+        return level
 
     def client_levels(self, sub: ProviderSubproblem) -> tuple[int, ...]:
         """The level serving each client, parallel to sub.client_ids."""
-        choice = self.choice_map()
-        return tuple(choice[min_level] for min_level in sub.min_levels)
+        serve = {i: self.serving_level(i) for i in set(sub.min_levels)}
+        return tuple(map(serve.__getitem__, sub.min_levels))
 
 
 def categorize(sub: ProviderSubproblem) -> tuple[int, ...]:
@@ -92,11 +97,11 @@ def _first_reach(y_frac: Sequence[Fraction], i: int) -> int:
 
 def category_relaxation_lp(
     beta: Sequence[Fraction], fees: Sequence[Fraction], counts: Sequence[int]
-) -> tuple[LinearProgram, dict[tuple[int, int], int]]:
+) -> LinearProgram:
     """LP relaxation of the category program.
 
     Variables: y(l) for l = 1..L at indices 0..L-1, then chi_i(l) for each
-    nonempty category i and level l >= i. Returns the LP and the chi index map.
+    nonempty category i and level l >= i.
     """
     levels = len(beta)
     chi_index: dict[tuple[int, int], int] = {}
@@ -120,7 +125,7 @@ def category_relaxation_lp(
         if counts[i - 1] == 0:
             continue
         rows.append(({chi_index[(i, level)]: ONE for level in range(i, levels + 1)}, EQ, ONE))
-    return LinearProgram(tuple(objective), tuple(rows)), chi_index
+    return LinearProgram(tuple(objective), tuple(rows))
 
 
 def reduced_open_levels_lp(
@@ -157,24 +162,15 @@ def _solve_categories(
 ) -> SingleDcPlan:
     """Exact optimum of the category program for one provider."""
     levels = len(beta)
-    nonempty = [i for i in range(1, levels + 1) if counts[i - 1] > 0]
-    if not nonempty:
-        return SingleDcPlan(frozenset(), (), ZERO)
+    if not any(counts):
+        return SingleDcPlan(frozenset(), ZERO)
 
-    relaxation, chi_index = category_relaxation_lp(beta, fees, counts)
-    sol = lp_solve(relaxation)
+    sol = lp_solve(category_relaxation_lp(beta, fees, counts))
     if sol.status != "optimal":
         raise AssertionError(f"category relaxation is never {sol.status}")
 
     if all(v == 0 or v == 1 for v in sol.values):
-        open_levels = frozenset(
-            level for level in range(1, levels + 1) if sol.values[level - 1] == 1
-        )
-        choices = tuple(
-            (i, next(level for level in range(i, levels + 1) if sol.values[chi_index[(i, level)]] == 1))
-            for i in nonempty
-        )
-        return _finish(beta, fees, counts, open_levels, choices)
+        return _finish(beta, fees, counts, _open_levels(sol.values[:levels]))
 
     # Fractional extreme point: substitute choices away and re-solve over
     # openings only; total unimodularity makes the result binary.
@@ -191,26 +187,19 @@ def solve_from_fractional(
 
     Computes the per-category breakpoints of y_frac, substitutes the category
     choices away, and solves the reduced interval LP, whose extreme points
-    are binary; maps the result back to open levels and category choices.
+    are binary; its open levels are the plan.
     """
-    levels = len(beta)
-    nonempty = [i for i in range(1, levels + 1) if counts[i - 1] > 0]
-    m = [0] * levels
-    for i in nonempty:
-        m[i - 1] = _first_reach(y_frac, i)
+    m = [_first_reach(y_frac, i) if count else 0 for i, count in enumerate(counts, start=1)]
     reduced = lp_solve(reduced_open_levels_lp(beta, fees, counts, m))
     if reduced.status != "optimal":
         raise AssertionError(f"reduced opening LP is never {reduced.status}")
     if any(v != 0 and v != 1 for v in reduced.values):
         raise InternalNonBinary(f"fractional extreme point in reduced LP: {reduced.values}")
-    open_levels = frozenset(
-        level for level in range(1, levels + 1) if reduced.values[level - 1] == 1
-    )
-    choices = []
-    for i in nonempty:
-        below = next((level for level in range(i, m[i - 1]) if level in open_levels), None)
-        choices.append((i, below if below is not None else m[i - 1]))
-    return _finish(beta, fees, counts, open_levels, tuple(choices))
+    return _finish(beta, fees, counts, _open_levels(reduced.values))
+
+
+def _open_levels(y: Sequence[Fraction]) -> frozenset[int]:
+    return frozenset(level for level, v in enumerate(y, start=1) if v == 1)
 
 
 def _finish(
@@ -218,14 +207,14 @@ def _finish(
     fees: Sequence[Fraction],
     counts: Sequence[int],
     open_levels: frozenset[int],
-    choices: tuple[tuple[int, int], ...],
 ) -> SingleDcPlan:
+    """Price the open levels, each category at its serving level."""
+    plan = SingleDcPlan(open_levels, ZERO)
     objective = sum((beta[level - 1] for level in open_levels), ZERO)
-    for i, level in choices:
-        if level not in open_levels or level < i:
-            raise AssertionError(f"category {i} mapped to unusable level {level}")
-        objective += counts[i - 1] * fees[level - 1]
-    return SingleDcPlan(open_levels, choices, objective)
+    for i, count in enumerate(counts, start=1):
+        if count:
+            objective += count * fees[plan.serving_level(i) - 1]
+    return replace(plan, objective=objective)
 
 
 def _fee_vector(sub: ProviderSubproblem) -> tuple[int, ...]:
@@ -254,12 +243,10 @@ def top_level_plan(sub: ProviderSubproblem, beta: Sequence[int]) -> SingleDcPlan
     """Bulk contracting: buy the top level L only and serve every category
     from it, at cost beta(L) + fees(L), in micro-units. On one data center
     this is exactly optimal when some client demands level L."""
-    counts = categorize(sub)
-    if sum(counts) == 0:
-        return SingleDcPlan(frozenset(), (), ZERO)
+    if not any(categorize(sub)):
+        return SingleDcPlan(frozenset(), ZERO)
     top = sub.num_levels
-    choices = tuple((i, top) for i in range(1, top + 1) if counts[i - 1] > 0)
-    return SingleDcPlan(frozenset([top]), choices, beta[top - 1] + sub.fees[top - 1])
+    return SingleDcPlan(frozenset([top]), beta[top - 1] + sub.fees[top - 1])
 
 
 def lower_single_dc_plan(sub: ProviderSubproblem, plan: SingleDcPlan) -> Plan:

@@ -97,6 +97,57 @@ def test_solve_oversize(tmp_path, capsys, monkeypatch, instance_a):
     assert "DATUM_BUDGET" in err
 
 
+@pytest.mark.parametrize("algorithm", ["datum", "single-dc"])
+def test_solve_unflagged_uniform_exec_costs_like_flagged(tmp_path, capsys, algorithm):
+    # A tensor without the flag whose costs do not vary with the level is
+    # level-independent: datum and single-dc solve it as the flagged one.
+    answers = []
+    for flag in (True, False):
+        inst = build_instance(
+            beta=[[3, 4]], fees=[1, 2], demands=[1, 2], alpha=[[["4", "4"], [1, 1]]],
+            level_independent=flag,
+        )
+        path = write_instance(tmp_path, inst, f"flag-{flag}.json")
+        plan_out = str(tmp_path / f"flag-{flag}.plan.json")
+        code, stdout, err = run(
+            capsys, "solve", "--instance", path, "--algorithm", algorithm, "--plan-out", plan_out
+        )
+        assert code == 0 and err == ""
+        record = json.loads(stdout)
+        totals = {key: record[key] for key in ("total", "oper", "exec", "purch")}
+        answers.append((totals, open(plan_out).read()))
+    assert answers[0] == answers[1]
+    code, stdout, _ = run(capsys, "solve", "--instance", path, "--algorithm", "optcost")
+    assert code == 0 and json.loads(stdout)["total"] == answers[1][0]["total"]
+
+
+def test_solve_tensor_for_unknown_provider_exits_2(tmp_path, capsys):
+    inst = build_instance(beta=[[3, 4]], fees=[1, 2], demands=[1], alpha=[[["4", "4"]]])
+    doc = instance_to_json(inst)
+    doc["exec_cost"]["alpha"]["p9"] = [[["1", "1"]]]
+    path = write_doc(tmp_path, doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert_refused(code, stdout, err, 2)
+    assert err.strip().endswith("exec model: alpha tensor for unknown provider p9")
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (("--levels", "10000000000"), "levels_per_provider must be at most 1024"),
+        (("--clients", "100000000"), "num_clients * num_providers must be at most 1,000,000"),
+        (("--providers", "1000000", "--clients", "1"), "num_providers * levels_per_provider"),
+        (("--pareto-mean", "-1"), "pareto_mean must not be negative"),
+        (("--pareto-mean", "1e308"), "pareto_mean 1e+308 is too large"),
+    ],
+)
+def test_generate_refuses_sizes_and_pareto_means_by_name(tmp_path, capsys, flags, field):
+    out = tmp_path / "g.json"
+    code, stdout, err = run(capsys, "generate", "--seed", "1", *flags, "--out", str(out))
+    assert_refused(code, stdout, err, 2, "invalid scenario parameters:", field)
+    assert not out.exists()
+
+
 def test_solve_level_dependent_exec_costs(tmp_path, capsys):
     inst = build_instance(
         beta=[[3, 4]], fees=[1, 2], demands=[1, 2], alpha=[[[1, 2], [1, 2]]],

@@ -113,7 +113,7 @@ def test_step2_empty_group_uses_cheapest_subset():
     inst = build_instance(beta=[[5, 5], [7, 7]], fees=[2, 3], demands=[2], alpha=[[4], [1]])
     (sub,) = split_by_provider(inst)
     catalog = build_subset_catalog_capped(sub, max_replicas=2)
-    s1 = SingleDcPlan(frozenset({1, 2}), ((2, 2),), F(0))
+    s1 = SingleDcPlan(frozenset({1, 2}), F(0))
     assert datum_step2(sub, catalog, s1) == ((1, (0,)), (2, (1,)))
 
 
@@ -289,7 +289,7 @@ def test_lowering_breaks_ties_to_the_lowest_index():
         beta=[[1], [1], [1]], fees=[1], demands=[1, 1], alpha=[[5, 2], [5, 2], [5, 2]]
     )
     (sub,) = split_by_provider(inst)
-    s1 = SingleDcPlan(frozenset({1}), ((1, 1),), F(0))
+    s1 = SingleDcPlan(frozenset({1}), F(0))
     for subset in ((0, 2), (2, 0), (2, 1, 0), (1, 2)):
         plan = lower_joint_plan(sub, ((1, subset),), s1)
         dc = sub.dc_ids[min(subset)]

@@ -153,7 +153,7 @@ def test_category_relaxation_of_instance_a_is_binary_at_24():
     # counts=(3,1) solves to the integer optimum 24 at a binary vertex.
     from datamarket.single_dc import category_relaxation_lp
 
-    relaxation, _ = category_relaxation_lp(
+    relaxation = category_relaxation_lp(
         [F(10), F(12)], [F(1), F(3)], [3, 1]
     )
     sol = lp_solve(relaxation)
@@ -251,7 +251,7 @@ def random_category_lp(rng, levels=16):
     beta = [F(rng.randint(0, 60)) for _ in range(levels)]
     counts = [0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(levels)]
     counts[-1] = max(counts[-1], 1)
-    return category_relaxation_lp(beta, fees, counts)[0]
+    return category_relaxation_lp(beta, fees, counts)
 
 
 def test_sparse_pivot_takes_the_dense_pivots(monkeypatch):

@@ -96,6 +96,39 @@ def test_validate_dimension_mismatch():
     assert not report.ok
 
 
+def test_validate_refuses_a_tensor_for_an_unknown_provider():
+    inst = build_instance(beta=[[3, 4]], fees=[1, 2], demands=[1], alpha=[[[4, 4]]])
+    extra = (("p9", (((F(1), F(1)),),)),)
+    inst = replace(inst, exec_cost=replace(inst.exec_cost, alpha=inst.exec_cost.alpha + extra))
+    assert validate_instance(inst).violations == (
+        "exec model: alpha tensor for unknown provider p9",
+    )
+
+
+def test_split_decides_level_independence_per_provider():
+    # Unflagged tensors: p1's costs do not vary with the level, p2's do at
+    # its second client.
+    flagged = build_instance(beta=[[3, 4]], fees=[1, 2], demands=[1, 2], alpha=[[[4, 4], [1, 1]]])
+    ((_, uniform),) = flagged.exec_cost.alpha
+    varying = (((F(4), F(4)), (F(1), F(2))),)
+    inst = replace(
+        flagged,
+        providers=flagged.providers + (replace(flagged.providers[0], id="p2"),),
+        clients=tuple(
+            replace(c, demands=c.demands + (("p2", c.demands[0][1]),)) for c in flagged.clients
+        ),
+        exec_cost=ExecCostModel(
+            mode="explicit", level_independent=False, alpha=(("p1", uniform), ("p2", varying))
+        ),
+    )
+    assert validate_instance(inst).ok
+    p1, p2 = split_by_provider(inst)
+    assert p1 == split_by_provider(flagged)[0]
+    assert p1.level_independent and p1.alpha[1] is p1.alpha[0]
+    assert not p2.level_independent
+    assert p2.alpha == (((4_000_000, 1_000_000),), ((4_000_000, 2_000_000),))
+
+
 def test_split_resolves_min_levels():
     inst = build_instance(
         beta=[[1, 1]], fees=[1, 2], qualities=["1", "2"], demands=["1.5"], alpha=[[0, 0]]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +12,9 @@ import pytest
 from datamarket.cities import CITIES, DC_STATES, cities_in_state
 from datamarket.model import DatamarketError, instance_to_json, split_by_provider, validate_instance
 from datamarket.scenario import (
+    MAX_CLIENT_PROVIDER_PAIRS,
+    MAX_LEVELS,
+    MAX_PROVIDER_LEVELS,
     InvalidRatioTargets,
     ScenarioParams,
     calibration_scales,
@@ -220,3 +225,80 @@ def test_overflowing_zipf_weights_are_refused(levels, shape):
 def test_one_level_generates_under_any_finite_zipf_shape(shape):
     inst = generate(replace(SMALL, levels_per_provider=1, zipf_shape=shape))
     assert {q for c in inst.clients for _, q in c.demands} == {1}
+
+
+@pytest.mark.parametrize(
+    "changes, reason",
+    [
+        (dict(levels_per_provider=MAX_LEVELS + 1), "levels_per_provider must be at most 1024"),
+        (dict(levels_per_provider=10**10), "levels_per_provider must be at most 1024"),
+        (
+            dict(num_providers=1, num_clients=MAX_CLIENT_PROVIDER_PAIRS + 1),
+            "num_clients * num_providers must be at most 1,000,000",
+        ),
+        (dict(num_clients=10**8), "num_clients * num_providers must be at most 1,000,000"),
+        (
+            dict(num_clients=1, num_providers=MAX_PROVIDER_LEVELS + 1, levels_per_provider=1),
+            "num_providers * levels_per_provider must be at most 100,000",
+        ),
+    ],
+)
+def test_sizes_past_a_ceiling_are_refused(changes, reason):
+    # Refused by validate(), before anything is allocated.
+    with pytest.raises(DatamarketError, match=f"^{re.escape(reason)}$"):
+        replace(SMALL, **changes).validate()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(levels_per_provider=MAX_LEVELS),
+        dict(num_providers=6, num_clients=MAX_CLIENT_PROVIDER_PAIRS // 6),
+        dict(num_providers=MAX_PROVIDER_LEVELS // 8, num_clients=1, levels_per_provider=8),
+        # The paper default at the top of the client ladder.
+        dict(num_data_centers=10, num_providers=20, num_clients=10_000, levels_per_provider=8),
+    ],
+)
+def test_sizes_at_a_ceiling_are_accepted(changes):
+    replace(SMALL, **changes).validate()
+
+
+@pytest.mark.parametrize(
+    "mean, reason",
+    [
+        (-1.0, "^pareto_mean must not be negative$"),
+        (1e308, "^pareto_mean 1e\\+308 is too large: the largest Pareto draw overflows a float$"),
+    ],
+)
+def test_pareto_means_that_cannot_draw_are_refused(mean, reason):
+    with pytest.raises(DatamarketError, match=reason):
+        replace(SMALL, pareto_mean=mean).validate()
+
+
+class SmallestUniform:
+    def unit_open(self):
+        return 2.0**-53
+
+
+@pytest.mark.parametrize("shape", [2.0, 3.0, 1.5])
+def test_largest_accepted_pareto_mean_draws_a_finite_fee(shape):
+    def accepted(mean):
+        try:
+            replace(SMALL, pareto_mean=mean, pareto_shape=shape).validate()
+        except DatamarketError:
+            return False
+        return True
+
+    lo, hi = 1.0, 1e308
+    assert accepted(lo) and not accepted(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    assert math.isfinite(pareto_draw(SmallestUniform(), lo, shape))
+    with pytest.raises(OverflowError):
+        pareto_draw(SmallestUniform(), hi, shape)
+
+
+def test_zero_pareto_mean_still_generates():
+    inst = generate(replace(SMALL, pareto_mean=0.0))
+    assert validate_instance(inst).ok
