@@ -240,15 +240,18 @@ def _cheapest_homes(sub: ProviderSubproblem) -> dict[int, int]:
     }
 
 
-def _exhaustive(instance: MarketInstance, minimize_band_only: bool):
-    budget = _support_budget()
+def _per_provider(instance: MarketInstance, solve) -> tuple[Plan, CostBreakdown]:
+    """The union of solve(sub) over the providers with clients, and its cost."""
     distances = distance_table(instance)
     plan = Plan.union(
-        _search_provider(sub, minimize_band_only, budget)
-        for sub in split_by_provider(instance, distances)
-        if sub.client_ids
+        solve(sub) for sub in split_by_provider(instance, distances) if sub.client_ids
     )
     return plan, evaluate_cost(instance, plan, distances)
+
+
+def _exhaustive(instance: MarketInstance, minimize_band_only: bool):
+    budget = _support_budget()
+    return _per_provider(instance, lambda sub: _search_provider(sub, minimize_band_only, budget))
 
 
 def opt_cost(instance: MarketInstance) -> tuple[Plan, CostBreakdown]:
@@ -268,13 +271,7 @@ def nearest_dc(instance: MarketInstance) -> tuple[Plan, CostBreakdown]:
     """Greedy: serve clients exactly what they ask for, storing each demanded
     level at the data center with the cheapest provider transfer (lowest id
     on ties)."""
-    distances = distance_table(instance)
-    plan = Plan.union(
-        _nearest_dc_provider(sub)
-        for sub in split_by_provider(instance, distances)
-        if sub.client_ids
-    )
-    return plan, evaluate_cost(instance, plan, distances)
+    return _per_provider(instance, _nearest_dc_provider)
 
 
 def _nearest_dc_provider(sub: ProviderSubproblem) -> Plan:

@@ -55,7 +55,7 @@ from datamarket.model import (
     validate_instance,
 )
 from datamarket.numeric import format_money, to_rational
-from datamarket.scenario import ScenarioParams, generate, sweep_params
+from datamarket.scenario import SWEEP_KNOBS, ScenarioParams, generate, sweep_params
 from datamarket.single_dc import lower_single_dc_plan, solve_single_dc
 
 EXIT_OK = 0
@@ -117,18 +117,26 @@ def run_algorithm(instance: MarketInstance, name: str, config: DatumConfig):
     raise UnknownAlgorithm(repr(name))
 
 
+# Generator options, ScenarioParams field -> (flag, type, help), defaulting to the field's.
+SCENARIO_FLAGS = {
+    "num_data_centers": ("--data-centers", int, None),
+    "num_providers": ("--providers", int, None),
+    "num_clients": ("--clients", int, None),
+    "levels_per_provider": ("--levels", int, None),
+    "avg_providers_per_client": ("--avg-providers-per-client", float, None),
+    "zipf_shape": ("--zipf-shape", float, None),
+    "pareto_mean": ("--pareto-mean", float, None),
+    "pareto_shape": ("--pareto-shape", float, None),
+    "rate_per_gigameter": ("--rate", str, "cost per gigameter of distance"),
+    "ratio_band_to_fee": ("--ratio-bf", float, "target log10((alpha+beta)/f)"),
+    "ratio_internal_to_external": ("--ratio-ie", float, "target log10(alpha/(beta+f))"),
+}
+
+
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data-centers", type=int, default=10)
-    parser.add_argument("--providers", type=int, default=20)
-    parser.add_argument("--clients", type=int, default=40)
-    parser.add_argument("--levels", type=int, default=8)
-    parser.add_argument("--avg-providers-per-client", type=float, default=None)
-    parser.add_argument("--zipf-shape", type=float, default=30.0)
-    parser.add_argument("--pareto-mean", type=float, default=10.0)
-    parser.add_argument("--pareto-shape", type=float, default=2.0)
-    parser.add_argument("--rate", default="1", help="cost per gigameter of distance")
-    parser.add_argument("--ratio-bf", type=float, default=-0.5, help="target log10((alpha+beta)/f)")
-    parser.add_argument("--ratio-ie", type=float, default=-1.0, help="target log10(alpha/(beta+f))")
+    for field, (flag, kind, text) in SCENARIO_FLAGS.items():
+        default = getattr(ScenarioParams, field)
+        parser.add_argument(flag, type=kind, default=default, help=text)
 
 
 def _add_datum_flags(parser: argparse.ArgumentParser) -> None:
@@ -144,20 +152,9 @@ def _add_table_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_params(args, seed: int) -> ScenarioParams:
-    return ScenarioParams(
-        seed=seed,
-        num_data_centers=args.data_centers,
-        num_providers=args.providers,
-        num_clients=args.clients,
-        levels_per_provider=args.levels,
-        avg_providers_per_client=args.avg_providers_per_client,
-        zipf_shape=args.zipf_shape,
-        pareto_mean=args.pareto_mean,
-        pareto_shape=args.pareto_shape,
-        rate_per_gigameter=args.rate,
-        ratio_band_to_fee=args.ratio_bf,
-        ratio_internal_to_external=args.ratio_ie,
-    )
+    # argparse keeps --some-flag as args.some_flag.
+    dests = {field: flag[2:].replace("-", "_") for field, (flag, _, _) in SCENARIO_FLAGS.items()}
+    return ScenarioParams(seed=seed, **{field: getattr(args, d) for field, d in dests.items()})
 
 
 def _datum_config(args) -> DatumConfig:
@@ -288,7 +285,7 @@ def cmd_sweep(args) -> int:
         )
     seeds = _parse_seeds(args.seeds)
     runs = [
-        (f"{args.knob},{getattr(point, 'ratio_' + args.knob):g},", replace(point, seed=seed))
+        (f"{args.knob},{getattr(point, SWEEP_KNOBS[args.knob]):g},", replace(point, seed=seed))
         for point in points
         for seed in seeds
     ]
@@ -347,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="scan one ratio knob, CSV")
-    p_sweep.add_argument("--knob", choices=("band_to_fee", "internal_to_external"), required=True)
+    p_sweep.add_argument("--knob", choices=tuple(SWEEP_KNOBS), required=True)
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)

@@ -206,10 +206,11 @@ class ProviderSubproblem:
     money), so the solvers add and compare them as plain ints. fees[l - 1]
     is level l's fee under the contracting mode: the per-query fee of each
     assignment, or the bulk fee of each purchase. alpha is level-major:
-    alpha[l - 1] is the data-center-by-client table of level l. Where
-    execution costs do not depend on the level (distance costs, explicit
-    tensors marked level_independent, and unmarked ones whose levels are
-    equal), every level holds the same table object.
+    alpha[l - 1] is the data-center-by-client table of level l. Where the
+    members' execution costs do not depend on the level (distance costs, and
+    explicit tensors whose member cells are equal across levels, flagged or
+    not), level_independent is set and every level holds the same table
+    object.
     """
 
     provider_id: str
@@ -352,7 +353,12 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
     for c in instance.clients:
         if not c.demands:
             problems.append(f"client {c.id}: no demands")
+        demanded: set[str] = set()
         for provider_id, w in c.demands:
+            if provider_id in demanded:
+                problems.append(f"client {c.id}: duplicate demand on provider {provider_id}")
+                continue
+            demanded.add(provider_id)
             p = provider_map.get(provider_id)
             if p is None:
                 problems.append(f"client {c.id}: unknown provider {provider_id}")
@@ -447,13 +453,15 @@ def split_by_provider(
     distinct quality. Solving the subproblems independently and summing
     costs solves the joint problem.
 
-    Each distinct execution cost is converted once: distance costs form one
+    Each distinct execution cost is converted once. Distance costs form one
     data-center-by-client table over all clients (distances, the solve's
-    distance_table, or one built here when it is not given), and a tensor
-    marked level-independent is read at its first level only; then every
-    level of a subproblem holds the same table. An unmarked tensor is read at
-    every level, and its subproblem is level-independent when the levels'
-    tables are equal, which then share one table.
+    distance_table, or one built here when it is not given). An explicit
+    tensor is read at the members' cells only, and the costs decide: the
+    subproblem is level-independent when every member cell is equal across
+    its levels, and then one level is converted and every level holds that
+    table; otherwise every level is converted. The level_independent flag
+    only skips that scan, since validate_instance has checked every flagged
+    cell.
     """
     providers = {p.id: p for p in instance.providers}
     members: dict[str, list[int]] = {pid: [] for pid in providers}
@@ -481,23 +489,21 @@ def split_by_provider(
     subproblems = []
     for p in instance.providers:
         member_idx = members[p.id]
-        level_independent = True
         if model.mode == "distance":
+            level_independent = True
             alpha = (tuple(map(gather(member_idx), shared)),) * p.num_levels
-        elif model.level_independent:
-            table = tuple(
-                tuple(to_micros(row[ci][0]) for ci in member_idx) for row in tensors[p.id]
-            )
-            alpha = (table,) * p.num_levels
         else:
-            alpha = tuple(
-                tuple(tuple(to_micros(row[ci][l]) for ci in member_idx) for row in tensors[p.id])
-                for l in range(p.num_levels)
+            # cells[d][c]: member c's costs at data center d, one per level.
+            cells = tuple(map(gather(member_idx), tensors[p.id]))
+            level_independent = model.level_independent or all(
+                cell.count(cell[0]) == len(cell) for row in cells for cell in row
             )
-            # Int tuples, compared in C.
-            level_independent = alpha[1:] == alpha[:-1]
+            alpha = tuple(
+                tuple(tuple(to_micros(cell[l]) for cell in row) for row in cells)
+                for l in range(1 if level_independent else p.num_levels)
+            )
             if level_independent:
-                alpha = alpha[:1] * p.num_levels
+                alpha *= p.num_levels
         fee = p.bulk_fee if instance.contracting == "bulk" else p.fee
         subproblems.append(
             ProviderSubproblem(

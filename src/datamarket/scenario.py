@@ -45,11 +45,19 @@ from datamarket.rng import SplitMix64
 ZERO = Fraction(0)
 
 # Size ceilings, checked before anything is allocated. They bound the level
-# menu, the (client, provider) demand draws and the provider-by-level fee
-# table; the paper default up to C=10000 (200,000 pairs) sits well inside.
+# menu, the (client, provider) pairs, the expected demand draws (the pairs
+# times a client's expected rounds) and the provider-by-level fee table; the
+# paper default up to C=10000 (200,000 pairs and draws) sits well inside.
 MAX_LEVELS = 1024
 MAX_CLIENT_PROVIDER_PAIRS = 1_000_000
+MAX_DEMAND_DRAWS = 2_000_000
 MAX_PROVIDER_LEVELS = 100_000
+
+# The ratio knobs a sweep scans, each with the ScenarioParams field it sets.
+SWEEP_KNOBS = {
+    "band_to_fee": "ratio_band_to_fee",
+    "internal_to_external": "ratio_internal_to_external",
+}
 
 
 class InvalidRatioTargets(DatamarketError):
@@ -116,10 +124,16 @@ class ScenarioParams:
         if not 0 < prob <= 1:
             raise DatamarketError("avg_providers_per_client must be in (0, num_providers]")
         # A client's round of draws is redrawn while it comes up empty.
-        if 1 - (1 - prob) ** self.num_providers < 1e-3:
+        nonempty = 1 - (1 - prob) ** self.num_providers
+        if nonempty < 1e-3:
             raise DatamarketError(
                 "avg_providers_per_client is too small: a client would need more than"
                 " 1000 rounds of demand draws on average"
+            )
+        if self.num_clients * self.num_providers / nonempty > MAX_DEMAND_DRAWS:
+            raise DatamarketError(
+                "avg_providers_per_client is too small for num_clients * num_providers:"
+                f" the demand draws would pass {MAX_DEMAND_DRAWS:,} on average"
             )
         try:
             zipf_total = sum(zipf_table(self.levels_per_provider, self.zipf_shape)[1])
@@ -291,7 +305,7 @@ def sweep_params(
     """
     if steps < 2:
         raise DatamarketError("steps must be at least 2")
-    if knob not in ("band_to_fee", "internal_to_external"):
+    if knob not in SWEEP_KNOBS:
         raise DatamarketError(f"unknown knob {knob!r}")
     base.validate()
     gap = base.ratio_band_to_fee - base.ratio_internal_to_external
@@ -299,15 +313,10 @@ def sweep_params(
     for k in range(steps):
         target = start + k * (stop - start) / (steps - 1)
         if knob == "band_to_fee":
-            other = min(base.ratio_internal_to_external, target - gap)
-            point = replace(
-                base, ratio_band_to_fee=target, ratio_internal_to_external=other
-            )
+            band, internal = target, min(base.ratio_internal_to_external, target - gap)
         else:
-            other = max(base.ratio_band_to_fee, target + gap)
-            point = replace(
-                base, ratio_internal_to_external=target, ratio_band_to_fee=other
-            )
+            band, internal = max(base.ratio_band_to_fee, target + gap), target
+        point = replace(base, ratio_band_to_fee=band, ratio_internal_to_external=internal)
         point.validate()
         points.append(point)
     return points

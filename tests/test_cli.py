@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from decimal import Decimal
 
 import pytest
 
 from conftest import build_instance
-from datamarket.cli import main
+from datamarket.cli import SCENARIO_FLAGS, _scenario_params, build_parser, main
 from datamarket.model import (
     evaluate_cost,
     instance_to_json,
@@ -28,6 +29,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--seed", "5", "--out", "unused.json"),
+        ("compare", "--seeds", "5"),
+        ("sweep", "--knob", "band_to_fee", "--from", "-1", "--to", "1", "--steps", "2",
+         "--seeds", "5"),
+    ],
+    ids=["generate", "compare", "sweep"],
+)
+def test_default_scenario_flags_are_the_scenario_defaults(argv):
+    args = build_parser().parse_args(argv)
+    assert _scenario_params(args, 5) == ScenarioParams(seed=5)
+    # Every field but the seed has exactly one flag.
+    assert set(SCENARIO_FLAGS) == {f.name for f in fields(ScenarioParams)} - {"seed"}
+    flags = [flag for flag, _, _ in SCENARIO_FLAGS.values()]
+    assert len(set(flags)) == len(flags)
 
 
 def test_generate_then_solve_round_trip(tmp_path, capsys):

@@ -129,6 +129,32 @@ def test_split_decides_level_independence_per_provider():
     assert p2.alpha == (((4_000_000, 1_000_000),), ((4_000_000, 2_000_000),))
 
 
+def test_split_reads_level_independence_from_the_members_cells():
+    # Unflagged, three levels: p1's costs vary only at c0, who demands p2
+    # alone, so p1 is as level-independent as the flagged uniform tensor.
+    uniform = build_instance(
+        beta=[[3, 4, 5]], fees=[1, 2, 3], demands=[1, 2], alpha=[[[7, 7, 7], [1, 1, 1]]]
+    )
+    ((_, cells),) = uniform.exec_cost.alpha
+    varying = (((F(9), F(8), F(7)),) + cells[0],)
+    c0 = Client(id="c0", demands=(("p2", F(1)),))
+    p2 = replace(uniform.providers[0], id="p2")
+    inst = replace(
+        uniform,
+        providers=uniform.providers + (p2,),
+        clients=(c0,) + uniform.clients,
+        exec_cost=ExecCostModel(
+            mode="explicit", level_independent=False, alpha=(("p1", varying), ("p2", varying))
+        ),
+    )
+    assert validate_instance(inst).ok
+    p1, p2 = split_by_provider(inst)
+    assert p1 == split_by_provider(uniform)[0]
+    assert p1.level_independent and all(table is p1.alpha[0] for table in p1.alpha)
+    assert not p2.level_independent
+    assert p2.alpha == tuple(((micros,),) for micros in (9_000_000, 8_000_000, 7_000_000))
+
+
 def test_split_resolves_min_levels():
     inst = build_instance(
         beta=[[1, 1]], fees=[1, 2], qualities=["1", "2"], demands=["1.5"], alpha=[[0, 0]]
@@ -870,6 +896,8 @@ def test_split_keeps_client_order_and_first_demand():
     (sub,) = split_by_provider(inst)
     assert sub.client_ids == tuple(c.id for c in inst.clients)
     assert sub.min_levels == (2, 1, 1)
+    # The solvers would leave the second demand unserved: validation refuses it.
+    assert validate_instance(inst).violations == ("client c1: duplicate demand on provider p1",)
 
 
 def test_evaluate_computes_each_distance_once(monkeypatch):

@@ -241,6 +241,12 @@ def test_one_level_generates_under_any_finite_zipf_shape(shape):
             dict(num_clients=1, num_providers=MAX_PROVIDER_LEVELS + 1, levels_per_provider=1),
             "num_providers * levels_per_provider must be at most 100,000",
         ),
+        (
+            # 10,000 clients at 1,000 expected rounds each: 10 M draws.
+            dict(num_clients=10_000, num_providers=1, avg_providers_per_client=0.001),
+            "avg_providers_per_client is too small for num_clients * num_providers:"
+            " the demand draws would pass 2,000,000 on average",
+        ),
     ],
 )
 def test_sizes_past_a_ceiling_are_refused(changes, reason):
