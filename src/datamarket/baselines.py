@@ -36,6 +36,8 @@ from datamarket.model import (
     Provider,
     ProviderSubproblem,
     QualityLevel,
+    _entries,
+    _expect,
     distance_table,
     evaluate_cost,
     split_by_provider,
@@ -338,16 +340,16 @@ def uflp_to_json(uflp: UflpInstance, dense: bool = False) -> dict:
 
 
 def uflp_from_json(doc: dict) -> UflpInstance:
-    """Read a UFLP document; a connection matrix that is not facilities by
-    clients is refused with ValueError."""
+    """Read a UFLP document. A list or object node of the wrong JSON type is
+    refused with TypeError naming its path, and a connection matrix that is
+    not facilities by clients with ValueError."""
+    facilities = _entries(dict, _expect(dict, doc)["facilities"], "facilities")
+    rows = _entries(list, doc["connection"], "connection")
     uflp = UflpInstance(
-        facility_ids=tuple(f["id"] for f in doc["facilities"]),
-        open_costs=tuple(to_rational(f["open_cost"]) for f in doc["facilities"]),
-        client_ids=tuple(doc["clients"]),
-        connection=tuple(
-            tuple(None if v is None else to_rational(v) for v in row)
-            for row in doc["connection"]
-        ),
+        facility_ids=tuple(f["id"] for f in facilities),
+        open_costs=tuple(to_rational(f["open_cost"]) for f in facilities),
+        client_ids=tuple(_expect(list, doc["clients"], "clients")),
+        connection=tuple(tuple(None if v is None else to_rational(v) for v in row) for row in rows),
     )
     shape = (len(uflp.facility_ids), len(uflp.client_ids))
     if len(uflp.connection) != shape[0] or any(len(row) != shape[1] for row in uflp.connection):

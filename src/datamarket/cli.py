@@ -67,8 +67,18 @@ CSV_HEADER = "seed,algorithm,oper,exec,purch,total,runtime_ms,fingerprint,error"
 
 # What reading missing or malformed outside input raises: an unreadable
 # file, a wrong value, a wrong JSON type where a list, dict or number
-# belongs, a missing key or row, or a number too large for the arithmetic.
-MALFORMED = (OSError, ValueError, TypeError, KeyError, AttributeError, IndexError, ArithmeticError)
+# belongs, a missing key or row, a number too large for the arithmetic, or
+# JSON nested too deeply for the decoder.
+MALFORMED = (
+    OSError,
+    ValueError,
+    TypeError,
+    KeyError,
+    AttributeError,
+    IndexError,
+    ArithmeticError,
+    RecursionError,
+)
 
 
 class UnknownAlgorithm(DatamarketError):

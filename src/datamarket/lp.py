@@ -16,7 +16,10 @@ package builds have a handful of nonzeros per row, so the builders, the
 tableau set-up and the final exact check touch only those. A pivot whose
 entry equals the previous pivot (the common case on 0/±1 data) updates only
 the columns where the pivot row is nonzero; any other pivot rescales the
-whole tableau. Skipping zeros changes no pivot. No dual simplex.
+whole tableau. Skipping zeros changes no pivot. A row with no nonzero
+needs no special case: phase 1 leaves an unsatisfiable one's artificial
+positive, the drive-out deletes 0 = 0, and a satisfiable inequality ends
+with its slack basic. No dual simplex.
 """
 
 from __future__ import annotations
@@ -52,23 +55,13 @@ class LpSolution:
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve to optimality, returning an optimal extreme point exactly."""
     n = len(lp.objective)
-    rows = []
     for coeffs, rel, rhs in lp.rows:
         if rel not in (LE, EQ, GE):
             raise ValueError(f"unknown relation {rel!r}")
         if any(not 0 <= j < n for j in coeffs):
             raise ValueError(f"column index outside 0..{n - 1}: {sorted(coeffs)}")
-        if any(coeffs.values()):
-            rows.append((coeffs, rel, rhs))
-            continue
-        # Presolve: a row without a nonzero is dropped, or is infeasible.
-        zero_ok = (
-            (rel == LE and rhs >= 0) or (rel == GE and rhs <= 0) or (rel == EQ and rhs == 0)
-        )
-        if not zero_ok:
-            return LpSolution("infeasible", (), None)
 
-    tab = _Tableau(n, rows, lp.objective)
+    tab = _Tableau(n, lp.rows, lp.objective)
     status = tab.solve()
     if status != "optimal":
         return LpSolution(status, (), None)
@@ -206,7 +199,8 @@ class _Tableau:
         prow = T[r]
         den = self.den
         # With piv == den a row changes only on the pivot row's support, by
-        # f * prow[j] // den (exact: den divides row[j]*den - f*prow[j]).
+        # f * prow[j] // den (exact: den divides row[j]*den - f*prow[j]);
+        # otherwise every row takes the dense fraction-free update.
         support = [j for j in range(self.width + 1) if prow[j]] if piv == den else None
         for row in (*T, self.cost1, self.cost2):
             if row is prow:
@@ -216,10 +210,6 @@ class _Tableau:
                 if f:
                     for j in support:
                         row[j] -= f * prow[j] // den
-                continue
-            if f == 0:
-                for j in range(self.width + 1):
-                    row[j] = row[j] * piv // den
                 continue
             for j in range(self.width + 1):
                 row[j] = (row[j] * piv - f * prow[j]) // den

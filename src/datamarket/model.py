@@ -32,6 +32,15 @@ from datamarket.numeric import (
 )
 
 
+# Size ceilings on an instance, which the generator shares: the level menu
+# of a provider, the (client, provider) pairs, and in distance mode the
+# data-center-by-client cells of the distance table (the generator's
+# largest, 10 data centers by 1,000,000 clients).
+MAX_LEVELS = 1024
+MAX_CLIENT_PROVIDER_PAIRS = 1_000_000
+MAX_DISTANCE_CELLS = 10_000_000
+
+
 class DatamarketError(ValueError):
     """An input or a request `datamarket` refuses with a one-line reason.
 
@@ -311,12 +320,21 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
 
     if instance.contracting not in ("per_query", "bulk"):
         problems.append(f"unknown contracting mode: {instance.contracting}")
+    pairs = len(instance.clients) * len(instance.providers)
+    if pairs > MAX_CLIENT_PROVIDER_PAIRS:
+        problems.append(
+            f"clients * providers is {pairs:,}, more than {MAX_CLIENT_PROVIDER_PAIRS:,}"
+        )
 
     num_dcs = len(instance.data_centers)
     for p in instance.providers:
         if not p.levels:
             problems.append(f"provider {p.id}: empty level menu")
             continue
+        if len(p.levels) > MAX_LEVELS:
+            problems.append(
+                f"provider {p.id}: {len(p.levels):,} levels, more than {MAX_LEVELS:,}"
+            )
         for k, lvl in enumerate(p.levels):
             if lvl.index != k + 1:
                 problems.append(f"provider {p.id}: level index {lvl.index} at position {k + 1}")
@@ -386,6 +404,12 @@ def _validate_exec_model(instance: MarketInstance) -> list[str]:
     model = instance.exec_cost
     problems: list[str] = []
     if model.mode == "distance":
+        cells = len(instance.data_centers) * len(instance.clients)
+        if cells > MAX_DISTANCE_CELLS:
+            problems.append(
+                f"distance exec model: data_centers * clients is {cells:,},"
+                f" more than {MAX_DISTANCE_CELLS:,}"
+            )
         if model.rate_per_gigameter is None:
             problems.append("distance exec model: missing rate_per_gigameter")
         elif model.rate_per_gigameter < 0:
@@ -456,12 +480,12 @@ def split_by_provider(
     Each distinct execution cost is converted once. Distance costs form one
     data-center-by-client table over all clients (distances, the solve's
     distance_table, or one built here when it is not given). An explicit
-    tensor is read at the members' cells only, and the costs decide: the
-    subproblem is level-independent when every member cell is equal across
-    its levels, and then one level is converted and every level holds that
-    table; otherwise every level is converted. The level_independent flag
-    only skips that scan, since validate_instance has checked every flagged
-    cell.
+    tensor is read at the members' cells only, and the costs alone decide:
+    the subproblem is level-independent when every member cell is equal
+    across its levels, and then one level is converted and every level holds
+    that table; otherwise every level is converted. The file's
+    level_independent flag is never read here; validate_instance checks it
+    as an assertion about every cell.
     """
     providers = {p.id: p for p in instance.providers}
     members: dict[str, list[int]] = {pid: [] for pid in providers}
@@ -495,7 +519,7 @@ def split_by_provider(
         else:
             # cells[d][c]: member c's costs at data center d, one per level.
             cells = tuple(map(gather(member_idx), tensors[p.id]))
-            level_independent = model.level_independent or all(
+            level_independent = all(
                 cell.count(cell[0]) == len(cell) for row in cells for cell in row
             )
             alpha = tuple(

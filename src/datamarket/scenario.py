@@ -31,6 +31,8 @@ from fractions import Fraction
 
 from datamarket.cities import CITIES, DC_STATES, cities_in_state
 from datamarket.model import (
+    MAX_CLIENT_PROVIDER_PAIRS,
+    MAX_LEVELS,
     Client,
     DataCenter,
     DatamarketError,
@@ -45,11 +47,10 @@ from datamarket.rng import SplitMix64
 ZERO = Fraction(0)
 
 # Size ceilings, checked before anything is allocated. They bound the level
-# menu, the (client, provider) pairs, the expected demand draws (the pairs
-# times a client's expected rounds) and the provider-by-level fee table; the
-# paper default up to C=10000 (200,000 pairs and draws) sits well inside.
-MAX_LEVELS = 1024
-MAX_CLIENT_PROVIDER_PAIRS = 1_000_000
+# menu and the (client, provider) pairs (model's ceilings on every
+# instance), the expected demand draws (the pairs times a client's expected
+# rounds) and the provider-by-level fee table; the paper default up to
+# C=10000 (200,000 pairs and draws) sits well inside.
 MAX_DEMAND_DRAWS = 2_000_000
 MAX_PROVIDER_LEVELS = 100_000
 

@@ -162,9 +162,6 @@ def _solve_categories(
 ) -> SingleDcPlan:
     """Exact optimum of the category program for one provider."""
     levels = len(beta)
-    if not any(counts):
-        return SingleDcPlan(frozenset(), ZERO)
-
     sol = lp_solve(category_relaxation_lp(beta, fees, counts))
     if sol.status != "optimal":
         raise AssertionError(f"category relaxation is never {sol.status}")

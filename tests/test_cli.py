@@ -8,6 +8,7 @@ from decimal import Decimal
 import pytest
 
 from conftest import build_instance
+from datamarket import model
 from datamarket.cli import SCENARIO_FLAGS, _scenario_params, build_parser, main
 from datamarket.model import (
     evaluate_cost,
@@ -91,6 +92,20 @@ def test_solve_malformed_json(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "solve", "--instance", str(bad), "--algorithm", "datum")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "convert"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    if command == "solve":
+        argv = ("solve", "--instance", str(deep), "--algorithm", "datum")
+        reason = "cannot read instance: maximum recursion depth exceeded"
+    else:
+        argv = ("convert", "--from-uflp", str(deep), "--out", str(tmp_path / "market.json"))
+        reason = "cannot read UFLP file: maximum recursion depth exceeded"
+    code, stdout, err = run(capsys, *argv)
+    assert_refused(code, stdout, err, 2, reason)
 
 
 def test_solve_invalid_instance(tmp_path, capsys, instance_a):
@@ -929,8 +944,10 @@ def test_overflowing_ratio_target_is_refused_by_name(tmp_path, capsys, monkeypat
     [
         (["a", "a"], ["c1", "c2"], "duplicate data center id: a"),
         (["a", "b"], [7, "c2"], "client id 7 is not a string"),
+        (["a", "b"], "ab", "cannot read UFLP file: clients: expected a list, got str"),
+        (["a", "b"], {"a": 1, "b": 2}, "cannot read UFLP file: clients: expected a list, got dict"),
     ],
-    ids=["duplicate-facility", "non-string-client"],
+    ids=["duplicate-facility", "non-string-client", "clients-string", "clients-object"],
 )
 def test_convert_from_invalid_uflp_exits_2(tmp_path, capsys, facilities, clients, reason):
     uflp = {
@@ -943,6 +960,60 @@ def test_convert_from_invalid_uflp_exits_2(tmp_path, capsys, facilities, clients
     code, stdout, err = run(capsys, "convert", "--from-uflp", path, "--out", str(out))
     assert_refused(code, stdout, err, 2, reason)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "node, value, reason",
+    [
+        ("connection", [["1", "2"], "12"], "connection[1]: expected a list, got str"),
+        (
+            "facilities",
+            [{"id": "a", "open_cost": "1"}, "b"],
+            "facilities[1]: expected an object, got str",
+        ),
+        ("facilities", {"a": "1", "b": "1"}, "facilities: expected a list, got dict"),
+    ],
+    ids=["connection-row-string", "facility-string", "facilities-object"],
+)
+def test_convert_from_mistyped_uflp_names_the_node(tmp_path, capsys, node, value, reason):
+    uflp = {
+        "facilities": [{"id": "a", "open_cost": "1"}, {"id": "b", "open_cost": "1"}],
+        "clients": ["c1", "c2"],
+        "connection": [["1", "2"], ["2", "1"]],
+        node: value,
+    }
+    path = write_doc(tmp_path, uflp)
+    out = tmp_path / "market.json"
+    code, stdout, err = run(capsys, "convert", "--from-uflp", path, "--out", str(out))
+    assert_refused(code, stdout, err, 2)
+    assert err.strip() == f"cannot read UFLP file: {reason}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("--to-uflp", "uflp.json"), "--to-uflp needs --instance"),
+        (("--from-uflp", "uflp.json"), "--from-uflp needs --out"),
+    ],
+    ids=["to-uflp", "from-uflp"],
+)
+def test_convert_without_its_counterpart_flag_exits_2(tmp_path, capsys, monkeypatch, argv, reason):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "convert", *argv)
+    assert_refused(code, stdout, err, 2)
+    assert err.strip() == reason
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_refuses_a_distance_table_past_its_ceiling(tmp_path, capsys, monkeypatch, geo_doc):
+    # 2 data centers by 3 clients; the ceiling is lowered so that no test
+    # builds a table at the real one.
+    monkeypatch.setattr(model, "MAX_DISTANCE_CELLS", 5)
+    path = write_doc(tmp_path, geo_doc)
+    code, stdout, err = run(capsys, "solve", "--instance", path, "--algorithm", "datum")
+    assert_refused(code, stdout, err, 2)
+    assert err.strip() == "distance exec model: data_centers * clients is 6, more than 5"
 
 
 @pytest.mark.parametrize(

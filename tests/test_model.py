@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_instance
+from datamarket import model
 from datamarket.cli import ALGORITHMS, run_algorithm
 from datamarket.datum import DatumConfig
 from datamarket.model import (
@@ -103,6 +104,106 @@ def test_validate_refuses_a_tensor_for_an_unknown_provider():
     assert validate_instance(inst).violations == (
         "exec model: alpha tensor for unknown provider p9",
     )
+
+
+def _with_levels(inst, *levels):
+    (p1,) = inst.providers
+    return replace(inst, providers=(replace(p1, levels=levels),))
+
+
+def _geo(inst, rate=F(1), dc_location=(0.0, 0.0)):
+    """inst with distance execution costs at the given rate, its data
+    centers at dc_location and its clients at (1, 1)."""
+    return replace(
+        inst,
+        data_centers=tuple(replace(d, location=dc_location) for d in inst.data_centers),
+        clients=tuple(replace(c, location=(1.0, 1.0)) for c in inst.clients),
+        exec_cost=ExecCostModel(mode="distance", rate_per_gigameter=rate),
+    )
+
+
+TWO_LEVELS = dict(beta=[[1, 1]], fees=[1, 2], demands=[1], alpha=[[[0, 0]]])
+
+REFUSED = [
+    pytest.param(
+        lambda inst: _with_levels(inst), "provider p1: empty level menu", id="empty-menu"
+    ),
+    pytest.param(
+        lambda inst: _with_levels(
+            inst, replace(inst.providers[0].levels[0], index=2), inst.providers[0].levels[1]
+        ),
+        "provider p1: level index 2 at position 1",
+        id="level-index",
+    ),
+    pytest.param(
+        lambda inst: build_instance(**{**TWO_LEVELS, "fees": [-1, 2]}),
+        "provider p1 level 1: negative fee",
+        id="negative-fee",
+    ),
+    pytest.param(
+        lambda inst: build_instance(**TWO_LEVELS, bulk_fees=[1, -2]),
+        "provider p1 level 2: negative bulk fee",
+        id="negative-bulk-fee",
+    ),
+    pytest.param(
+        lambda inst: replace(inst, contracting="bulk"),
+        "provider p1: bulk contracting but missing bulk fees",
+        id="bulk-without-bulk-fees",
+    ),
+    pytest.param(
+        lambda inst: _geo(inst, rate=None),
+        "distance exec model: missing rate_per_gigameter",
+        id="missing-rate",
+    ),
+    pytest.param(
+        lambda inst: _geo(inst, rate=F(-1)),
+        "distance exec model: negative rate",
+        id="negative-rate",
+    ),
+    pytest.param(
+        lambda inst: _geo(inst, dc_location=None),
+        "distance exec model: data center dc1 has no location",
+        id="data-center-without-location",
+    ),
+    pytest.param(
+        lambda inst: replace(inst, exec_cost=replace(inst.exec_cost, mode="table")),
+        "unknown exec cost mode: table",
+        id="unknown-exec-mode",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, violation", REFUSED)
+def test_validate_names_each_refusal(mutate, violation):
+    inst = build_instance(**TWO_LEVELS)
+    assert validate_instance(inst).ok
+    assert violation in validate_instance(mutate(inst)).violations
+
+
+@pytest.mark.parametrize(
+    "ceiling, mutate, violation",
+    [
+        (
+            "MAX_CLIENT_PROVIDER_PAIRS",
+            lambda inst: inst,
+            "clients * providers is 2, more than 1",
+        ),
+        (
+            "MAX_DISTANCE_CELLS",
+            _geo,
+            "distance exec model: data_centers * clients is 2, more than 1",
+        ),
+        ("MAX_LEVELS", lambda inst: inst, "provider p1: 2 levels, more than 1"),
+    ],
+    ids=["client-provider-pairs", "distance-cells", "levels"],
+)
+def test_validate_refuses_sizes_past_the_ceilings(monkeypatch, ceiling, mutate, violation):
+    # Two clients of one provider on one data center, two levels; each
+    # ceiling is lowered so that no test builds an instance at the real one.
+    inst = mutate(build_instance(beta=[[1, 1]], fees=[1, 2], demands=[1, 2], alpha=[[0, 0]]))
+    assert validate_instance(inst).ok
+    monkeypatch.setattr(model, ceiling, 1)
+    assert validate_instance(inst).violations == (violation,)
 
 
 def test_split_decides_level_independence_per_provider():
@@ -574,7 +675,24 @@ def _serve_undemanded(inst, plan, rng):
     )
 
 
+def _buy_unknown(inst, plan, rng):
+    p = rng.choice(inst.providers)
+    unknown = rng.choice([(p.id, p.num_levels + 1), (p.id, 0), ("nobody", 1)])
+    return replace(plan, purchases=plan.purchases | {unknown})
+
+
+def _place_unknown(inst, plan, rng):
+    p = rng.choice(inst.providers)
+    dc_id = rng.choice(inst.data_centers).id
+    unknown = rng.choice(
+        [(p.id, dc_id, p.num_levels + 1), (p.id, "nowhere", 1), ("nobody", dc_id, 1)]
+    )
+    return replace(plan, placements=plan.placements | {unknown})
+
+
 MUTATIONS = {
+    "unknown-purchase": _buy_unknown,
+    "unknown-placement": _place_unknown,
     "drop-assignment": _drop_assignment,
     "below-demand": _lower_below_demand,
     "unplaced": _remove_used_placement,

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from datamarket import single_dc
+from datamarket.lp import LpSolution, lp_solve
 from datamarket.model import evaluate_cost, split_by_provider
 from datamarket.numeric import MICROS, to_micros
 from datamarket.single_dc import (
@@ -234,6 +236,31 @@ def test_fractional_recovery_path():
         assert plan.objective == best
         exercised += 1
     assert exercised > 20
+
+
+def test_a_fractional_relaxation_goes_to_the_reduced_lp(monkeypatch):
+    # beta (1, 1), fees (1, 2), one client per level: opening {2} and
+    # opening {1, 2} both cost 5, so their half-half mixture is an optimal
+    # relaxation point. The relaxation is made to return that mixture; the
+    # reduced LP must still give a binary plan of the same cost.
+    beta, fees, counts = [F(1), F(1)], [F(1), F(2)], [1, 1]
+    # y(1), y(2), chi_1(1), chi_1(2), chi_2(2)
+    mixture = (HALF, F(1), HALF, HALF, F(1))
+    calls = []
+
+    def relaxation_then_real(lp):
+        calls.append(lp)
+        if len(calls) == 1:
+            assert len(lp.objective) == len(mixture)
+            return LpSolution("optimal", mixture, F(5))
+        return lp_solve(lp)
+
+    monkeypatch.setattr(single_dc, "lp_solve", relaxation_then_real)
+    plan = _solve_categories(beta, fees, counts)
+    assert len(calls) == 2  # the relaxation, then the reduced interval LP
+    assert plan.objective == 5 == single_dc_brute_force(beta, fees, counts)
+    assert plan.open_levels in (frozenset({2}), frozenset({1, 2}))
+    assert plan == solve_from_fractional(beta, fees, counts, mixture[:2])
 
 
 def test_bulk_buys_top_level_only(instance_a):
