@@ -310,7 +310,7 @@ def from_uflp(uflp: UflpInstance) -> MarketInstance:
     dense = uflp.dense_connection()
     provider = Provider(
         id="p1",
-        levels=(QualityLevel(index=1, quality=Fraction(1), per_query_fee=ZERO),),
+        levels=(QualityLevel(quality=Fraction(1), per_query_fee=ZERO),),
         oper_cost=tuple((cost,) for cost in uflp.open_costs),
     )
     alpha = tuple(tuple((dense[j][i],) for i in range(len(uflp.client_ids))) for j in range(len(uflp.facility_ids)))

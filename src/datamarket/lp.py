@@ -38,11 +38,12 @@ class LinearProgram:
     """minimize objective . x  subject to rows, x >= 0.
 
     Each row is ({column: coefficient}, relation, rhs) over the columns
-    0..len(objective)-1; absent columns are zero.
+    0..len(objective)-1; absent columns are zero. Every number is an int
+    or an exact Fraction.
     """
 
-    objective: tuple[Fraction, ...]
-    rows: tuple[tuple[dict[int, Fraction], str, Fraction], ...]
+    objective: tuple[int | Fraction, ...]
+    rows: tuple[tuple[dict[int, int | Fraction], str, int | Fraction], ...]
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,10 @@ class MissingBulkFees(Exception):
 
 @dataclass(frozen=True)
 class QualityLevel:
-    """One entry of a provider's menu: 1-based ordinal, quality value,
-    per-query fee, and optional one-time bulk fee."""
+    """One entry of a provider's menu: quality value, per-query fee, and
+    optional one-time bulk fee. A level's number is its 1-based position in
+    the menu."""
 
-    index: int
     quality: Fraction
     per_query_fee: Fraction
     bulk_fee: Fraction | None = None
@@ -126,7 +126,10 @@ class ExecCostModel:
     """
 
     mode: str  # "explicit" | "distance"
-    level_independent: bool = True
+    # Explicit mode: an assertion, checked by validate_instance, that every
+    # tensor row is equal across levels. False when absent, in code as in
+    # files; distance mode neither reads nor writes it.
+    level_independent: bool = False
     alpha: tuple[tuple[str, tuple[tuple[tuple[Fraction, ...], ...], ...]], ...] = ()
     rate_per_gigameter: Fraction | None = None
 
@@ -215,11 +218,12 @@ class ProviderSubproblem:
     money), so the solvers add and compare them as plain ints. fees[l - 1]
     is level l's fee under the contracting mode: the per-query fee of each
     assignment, or the bulk fee of each purchase. alpha is level-major:
-    alpha[l - 1] is the data-center-by-client table of level l. Where the
-    members' execution costs do not depend on the level (distance costs, and
-    explicit tensors whose member cells are equal across levels, flagged or
-    not), level_independent is set and every level holds the same table
-    object.
+    alpha[l - 1] is the data-center-by-client table of level l. The costs
+    alone say whether they depend on the level: level_independent is true
+    when every level's table is equal. split_by_provider gives every level
+    the same table object where the members' costs do not vary (distance
+    costs, and explicit tensors whose member cells are equal across levels,
+    flagged or not).
     """
 
     provider_id: str
@@ -229,12 +233,17 @@ class ProviderSubproblem:
     client_ids: tuple[str, ...]
     min_levels: tuple[int, ...]  # parallel to client_ids, 1-based
     alpha: tuple[tuple[tuple[int, ...], ...], ...]  # [l][d][c], micro-units
-    level_independent: bool
     contracting: str
 
     @property
     def num_levels(self) -> int:
         return len(self.fees)
+
+    @property
+    def level_independent(self) -> bool:
+        """Every level's execution-cost table is equal (true for no level).
+        count() compares identity first, so a shared table costs O(L)."""
+        return not self.alpha or self.alpha.count(self.alpha[0]) == len(self.alpha)
 
     @property
     def num_dcs(self) -> int:
@@ -287,7 +296,7 @@ def min_level_index(provider: Provider, required_quality: Fraction) -> int:
         raise UnsatisfiableDemand(
             f"provider {provider.id}: no level reaches quality {required_quality}"
         )
-    return provider.levels[k].index
+    return k + 1
 
 
 def validate_instance(instance: MarketInstance) -> ValidationReport:
@@ -335,15 +344,13 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
             problems.append(
                 f"provider {p.id}: {len(p.levels):,} levels, more than {MAX_LEVELS:,}"
             )
-        for k, lvl in enumerate(p.levels):
-            if lvl.index != k + 1:
-                problems.append(f"provider {p.id}: level index {lvl.index} at position {k + 1}")
+        for level, lvl in enumerate(p.levels, start=1):
             if lvl.quality <= 0:
-                problems.append(f"provider {p.id} level {lvl.index}: quality not positive")
+                problems.append(f"provider {p.id} level {level}: quality not positive")
             if lvl.per_query_fee < 0:
-                problems.append(f"provider {p.id} level {lvl.index}: negative fee")
+                problems.append(f"provider {p.id} level {level}: negative fee")
             if lvl.bulk_fee is not None and lvl.bulk_fee < 0:
-                problems.append(f"provider {p.id} level {lvl.index}: negative bulk fee")
+                problems.append(f"provider {p.id} level {level}: negative bulk fee")
         for a, b in zip(p.levels, p.levels[1:]):
             if b.quality <= a.quality:
                 problems.append(f"provider {p.id}: qualities not strictly increasing")
@@ -481,11 +488,10 @@ def split_by_provider(
     data-center-by-client table over all clients (distances, the solve's
     distance_table, or one built here when it is not given). An explicit
     tensor is read at the members' cells only, and the costs alone decide:
-    the subproblem is level-independent when every member cell is equal
-    across its levels, and then one level is converted and every level holds
-    that table; otherwise every level is converted. The file's
-    level_independent flag is never read here; validate_instance checks it
-    as an assertion about every cell.
+    when every member cell is equal across its levels, one level is converted
+    and every level holds that table; otherwise every level is converted. The
+    file's level_independent flag is never read here; validate_instance
+    checks it as an assertion about every cell.
     """
     providers = {p.id: p for p in instance.providers}
     members: dict[str, list[int]] = {pid: [] for pid in providers}
@@ -514,19 +520,16 @@ def split_by_provider(
     for p in instance.providers:
         member_idx = members[p.id]
         if model.mode == "distance":
-            level_independent = True
             alpha = (tuple(map(gather(member_idx), shared)),) * p.num_levels
         else:
             # cells[d][c]: member c's costs at data center d, one per level.
             cells = tuple(map(gather(member_idx), tensors[p.id]))
-            level_independent = all(
-                cell.count(cell[0]) == len(cell) for row in cells for cell in row
-            )
+            uniform = all(cell.count(cell[0]) == len(cell) for row in cells for cell in row)
             alpha = tuple(
                 tuple(tuple(to_micros(cell[l]) for cell in row) for row in cells)
-                for l in range(1 if level_independent else p.num_levels)
+                for l in range(1 if uniform else p.num_levels)
             )
-            if level_independent:
+            if uniform:
                 alpha *= p.num_levels
         fee = p.bulk_fee if instance.contracting == "bulk" else p.fee
         subproblems.append(
@@ -538,7 +541,6 @@ def split_by_provider(
                 client_ids=tuple(instance.clients[ci].id for ci in member_idx),
                 min_levels=tuple(min_levels[p.id]),
                 alpha=alpha,
-                level_independent=level_independent,
                 contracting=instance.contracting,
             )
         )
@@ -835,7 +837,6 @@ def instance_from_json(doc: dict) -> MarketInstance:
             id=p["id"],
             levels=tuple(
                 QualityLevel(
-                    index=k + 1,
                     quality=rational(l["quality"], "providers", i, "levels", k, "quality"),
                     per_query_fee=rational(
                         l["per_query_fee"], "providers", i, "levels", k, "per_query_fee"
@@ -876,7 +877,6 @@ def instance_from_json(doc: dict) -> MarketInstance:
     if ec["mode"] == "distance":
         exec_cost = ExecCostModel(
             mode="distance",
-            level_independent=True,
             rate_per_gigameter=rational(
                 ec["rate_per_gigameter"], "exec_cost", "rate_per_gigameter"
             ),

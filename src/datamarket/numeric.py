@@ -9,8 +9,9 @@ costs) and everything the solvers derive from it are int micro-units
 (value * MICROS). split_by_provider is where money enters that form;
 solve_single_dc's objective, to_uflp's output and evaluate_cost are where
 it leaves. The linear programs take whatever exact numbers they are given:
-Datum's mu1 anticipation term makes its transformed costs exact Fractions
-of micro-units (a product with a quantized weight).
+the category programs are built from ints, and Datum's mu1 anticipation
+term makes its transformed costs exact Fractions of micro-units (a product
+with a quantized weight).
 
 Money rounds by one rule: once, to the nearest multiple of 1e-6, ties to
 even. quantize, format_money and pair_micros round a Fraction with Python's

@@ -263,7 +263,7 @@ def generate(params: ScenarioParams) -> MarketInstance:
         Provider(
             id=f"p{p + 1}",
             levels=tuple(
-                QualityLevel(index=l + 1, quality=Fraction(l + 1), per_query_fee=fee_table[p][l])
+                QualityLevel(quality=Fraction(l + 1), per_query_fee=fee_table[p][l])
                 for l in range(levels)
             ),
             oper_cost=tuple(
@@ -286,11 +286,7 @@ def generate(params: ScenarioParams) -> MarketInstance:
         providers=providers,
         data_centers=data_centers,
         clients=clients,
-        exec_cost=ExecCostModel(
-            mode="distance",
-            level_independent=True,
-            rate_per_gigameter=quantize(s_alpha * rate),
-        ),
+        exec_cost=ExecCostModel(mode="distance", rate_per_gigameter=quantize(s_alpha * rate)),
         contracting="per_query",
     )
 

@@ -7,14 +7,16 @@ category (paying the per-query fee per client). Clients sharing a minimum
 level index form a category; an optimal solution treats a category
 uniformly, so only the category counts matter.
 
-The solve pipeline: build the category LP relaxation and solve it to an
-extreme point. If the extreme point is binary, done. Otherwise compute, for
-each category, the breakpoint level where the fractional openings first
-accumulate to one, substitute the category choices away as a function of the
-opening variables, and solve the reduced interval-constrained LP. That
-constraint matrix is an interval matrix, hence totally unimodular, so the
-reduced LP's extreme points are all binary and the mapped-back solution is
-an exact integer optimum.
+The solve pipeline: build the category LP relaxation, with int
+coefficients, and solve it to an extreme point. If the extreme point is
+binary, its open levels are the plan and the LP's optimum is its value.
+Otherwise compute, for each category, the breakpoint level where the
+fractional openings first accumulate to one, substitute the category choices
+away as a function of the opening variables, and solve the reduced
+interval-constrained LP. That constraint matrix is an interval matrix, hence
+totally unimodular, so the reduced LP's extreme points are all binary and
+the mapped-back solution is an exact integer optimum; its value is the
+reduced optimum plus the constant the substitution took out.
 
 Bulk contracting on a single data center degenerates: top_level_plan buys
 the top level alone, optimal only when some client demands that level.
@@ -30,8 +32,9 @@ from datamarket.lp import EQ, GE, LE, LinearProgram, lp_solve
 from datamarket.model import DatamarketError, Plan, ProviderSubproblem
 from datamarket.numeric import MICROS
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# The programs' costs: int micro-units, or exact Fractions of micro-units
+# under Datum's mu1 > 0.
+Costs = Sequence[int | Fraction]
 
 
 class LevelDependentCosts(DatamarketError):
@@ -87,7 +90,7 @@ def categorize(sub: ProviderSubproblem) -> tuple[int, ...]:
 
 def _first_reach(y_frac: Sequence[Fraction], i: int) -> int:
     """The breakpoint m_i of category i: cum(y, i..m_i-1) < 1 <= cum(y, i..m_i)."""
-    total = ZERO
+    total = 0
     for level in range(i, len(y_frac) + 1):
         total += y_frac[level - 1]
         if total >= 1:
@@ -95,9 +98,7 @@ def _first_reach(y_frac: Sequence[Fraction], i: int) -> int:
     raise NoBreakpoint(f"cumulative openings from level {i} never reach 1")
 
 
-def category_relaxation_lp(
-    beta: Sequence[Fraction], fees: Sequence[Fraction], counts: Sequence[int]
-) -> LinearProgram:
+def category_relaxation_lp(beta: Costs, fees: Costs, counts: Sequence[int]) -> LinearProgram:
     """LP relaxation of the category program.
 
     Variables: y(l) for l = 1..L at indices 0..L-1, then chi_i(l) for each
@@ -112,7 +113,7 @@ def category_relaxation_lp(
         for level in range(i, levels + 1):
             chi_index[(i, level)] = at
             at += 1
-    objective = [ZERO] * at
+    objective = [0] * at
     for level in range(1, levels + 1):
         objective[level - 1] = beta[level - 1]
     for (i, level), j in chi_index.items():
@@ -120,19 +121,16 @@ def category_relaxation_lp(
 
     rows = []
     for (i, level), j in chi_index.items():
-        rows.append(({j: ONE, level - 1: -ONE}, LE, ZERO))
+        rows.append(({j: 1, level - 1: -1}, LE, 0))
     for i in range(1, levels + 1):
         if counts[i - 1] == 0:
             continue
-        rows.append(({chi_index[(i, level)]: ONE for level in range(i, levels + 1)}, EQ, ONE))
+        rows.append(({chi_index[(i, level)]: 1 for level in range(i, levels + 1)}, EQ, 1))
     return LinearProgram(tuple(objective), tuple(rows))
 
 
 def reduced_open_levels_lp(
-    beta: Sequence[Fraction],
-    fees: Sequence[Fraction],
-    counts: Sequence[int],
-    m: Sequence[int],
+    beta: Costs, fees: Costs, counts: Sequence[int], m: Sequence[int]
 ) -> LinearProgram:
     """The opening-variables-only LP obtained by substituting the breakpoint
     expression for the category choices.
@@ -150,24 +148,25 @@ def reduced_open_levels_lp(
         for level in range(i, m_i):
             objective[level - 1] += counts[i - 1] * (fees[level - 1] - fees[m_i - 1])
         if m_i > i:
-            rows.append(({level - 1: ONE for level in range(i, m_i)}, LE, ONE))
-        rows.append(({level - 1: ONE for level in range(i, m_i + 1)}, GE, ONE))
+            rows.append(({level - 1: 1 for level in range(i, m_i)}, LE, 1))
+        rows.append(({level - 1: 1 for level in range(i, m_i + 1)}, GE, 1))
     if counts[levels - 1] > 0:
-        rows.append(({levels - 1: ONE}, EQ, ONE))
+        rows.append(({levels - 1: 1}, EQ, 1))
     return LinearProgram(tuple(objective), tuple(rows))
 
 
-def _solve_categories(
-    beta: Sequence[Fraction], fees: Sequence[Fraction], counts: Sequence[int]
-) -> SingleDcPlan:
-    """Exact optimum of the category program for one provider."""
+def _solve_categories(beta: Costs, fees: Costs, counts: Sequence[int]) -> SingleDcPlan:
+    """Exact optimum of the category program for one provider. A binary
+    extreme point's value is the plan's: fees strictly increase, so an
+    optimal chi serves each category at its smallest open level at or above
+    it, which is the serving rule."""
     levels = len(beta)
     sol = lp_solve(category_relaxation_lp(beta, fees, counts))
     if sol.status != "optimal":
         raise AssertionError(f"category relaxation is never {sol.status}")
 
     if all(v == 0 or v == 1 for v in sol.values):
-        return _finish(beta, fees, counts, _open_levels(sol.values[:levels]))
+        return SingleDcPlan(_open_levels(sol.values[:levels]), sol.objective_value)
 
     # Fractional extreme point: substitute choices away and re-solve over
     # openings only; total unimodularity makes the result binary.
@@ -175,16 +174,16 @@ def _solve_categories(
 
 
 def solve_from_fractional(
-    beta: Sequence[Fraction],
-    fees: Sequence[Fraction],
-    counts: Sequence[int],
-    y_frac: Sequence[Fraction],
+    beta: Costs, fees: Costs, counts: Sequence[int], y_frac: Sequence[Fraction]
 ) -> SingleDcPlan:
     """Recover a binary optimum from any fractional optimal opening vector.
 
     Computes the per-category breakpoints of y_frac, substitutes the category
     choices away, and solves the reduced interval LP, whose extreme points
-    are binary; its open levels are the plan.
+    are binary; its open levels are the plan. The substitution serves
+    category i at the one open level in [i, m_i), or else at m_i, so the
+    reduced objective is the plan's value less the constant
+    sum(count_i * fee(m_i)), which is added back.
     """
     m = [_first_reach(y_frac, i) if count else 0 for i, count in enumerate(counts, start=1)]
     reduced = lp_solve(reduced_open_levels_lp(beta, fees, counts, m))
@@ -192,26 +191,12 @@ def solve_from_fractional(
         raise AssertionError(f"reduced opening LP is never {reduced.status}")
     if any(v != 0 and v != 1 for v in reduced.values):
         raise InternalNonBinary(f"fractional extreme point in reduced LP: {reduced.values}")
-    return _finish(beta, fees, counts, _open_levels(reduced.values))
+    constant = sum(count * fees[m_i - 1] for count, m_i in zip(counts, m) if count)
+    return SingleDcPlan(_open_levels(reduced.values), reduced.objective_value + constant)
 
 
 def _open_levels(y: Sequence[Fraction]) -> frozenset[int]:
     return frozenset(level for level, v in enumerate(y, start=1) if v == 1)
-
-
-def _finish(
-    beta: Sequence[Fraction],
-    fees: Sequence[Fraction],
-    counts: Sequence[int],
-    open_levels: frozenset[int],
-) -> SingleDcPlan:
-    """Price the open levels, each category at its serving level."""
-    plan = SingleDcPlan(open_levels, ZERO)
-    objective = sum((beta[level - 1] for level in open_levels), ZERO)
-    for i, count in enumerate(counts, start=1):
-        if count:
-            objective += count * fees[plan.serving_level(i) - 1]
-    return replace(plan, objective=objective)
 
 
 def _fee_vector(sub: ProviderSubproblem) -> tuple[int, ...]:
@@ -241,7 +226,7 @@ def top_level_plan(sub: ProviderSubproblem, beta: Sequence[int]) -> SingleDcPlan
     from it, at cost beta(L) + fees(L), in micro-units. On one data center
     this is exactly optimal when some client demands level L."""
     if not any(categorize(sub)):
-        return SingleDcPlan(frozenset(), ZERO)
+        return SingleDcPlan(frozenset(), 0)
     top = sub.num_levels
     return SingleDcPlan(frozenset([top]), beta[top - 1] + sub.fees[top - 1])
 

@@ -38,7 +38,6 @@ def build_instance(
     qualities = qualities or list(range(1, num_levels + 1))
     levels = tuple(
         QualityLevel(
-            index=k + 1,
             quality=F(qualities[k]),
             per_query_fee=F(fees[k]),
             bulk_fee=None if bulk_fees is None else F(bulk_fees[k]),

@@ -97,9 +97,9 @@ def plan_from_json(doc: dict) -> Plan:
 def min_level_scan(provider: Provider, required_quality: Fraction) -> int:
     """Smallest level index whose quality meets the requirement, by a scan
     from the lowest level."""
-    for lvl in provider.levels:
+    for level, lvl in enumerate(provider.levels, start=1):
         if lvl.quality >= required_quality:
-            return lvl.index
+            return level
     raise UnsatisfiableDemand(
         f"provider {provider.id}: no level reaches quality {required_quality}"
     )
@@ -317,7 +317,6 @@ def make_subproblem(beta_vec, fees, counts, bulk_fees=None, contracting="per_que
         client_ids=tuple(client_ids),
         min_levels=tuple(min_levels),
         alpha=alpha,
-        level_independent=True,
         contracting=contracting,
     )
 
@@ -497,7 +496,6 @@ def random_market(
                 id=f"p{p + 1}",
                 levels=tuple(
                     QualityLevel(
-                        index=k + 1,
                         quality=Fraction(k + 1),
                         per_query_fee=fees[k],
                         bulk_fee=Fraction(rng.randint(0, 9)) if bulk else None,

@@ -278,6 +278,22 @@ def test_compare_is_byte_deterministic(capsys):
     assert first == second
 
 
+def test_compare_timings_fill_only_runtime_ms(capsys):
+    code, untimed, _ = run(capsys, "compare", *COMPARE_FLAGS)
+    code, timed, _ = run(capsys, "compare", *COMPARE_FLAGS, "--timings")
+    assert code == 0
+    untimed_lines, timed_lines = untimed.splitlines(), timed.splitlines()
+    assert timed_lines[0] == untimed_lines[0]
+    assert len(timed_lines) == len(untimed_lines) == 1 + 2 * 4
+    runtime = untimed_lines[0].split(",").index("runtime_ms")
+    for plain, timed_row in zip(untimed_lines[1:], timed_lines[1:]):
+        cells, timed_cells = plain.split(","), timed_row.split(",")
+        runtime_ms = timed_cells.pop(runtime)
+        assert runtime_ms.isdigit() and str(int(runtime_ms)) == runtime_ms
+        assert cells.pop(runtime) == ""
+        assert timed_cells == cells
+
+
 def test_compare_oversize_rows_marked(capsys, monkeypatch):
     monkeypatch.setenv("DATUM_BUDGET", "4")
     code, stdout, _ = run(capsys, "compare", *COMPARE_FLAGS)

@@ -164,7 +164,7 @@ def test_datum_skips_providers_without_clients(instance_g):
 
     idle = Provider(
         id="p2",
-        levels=(QualityLevel(index=1, quality=F(1), per_query_fee=F(9)),),
+        levels=(QualityLevel(quality=F(1), per_query_fee=F(9)),),
         oper_cost=((F(1),), (F(1),)),
     )
     alpha = dict(instance_g.exec_cost.alpha)
@@ -237,7 +237,6 @@ def _priced_groups(draw):
         client_ids=tuple(f"c{c}" for c in range(num_clients)),
         min_levels=(1,) * num_clients,
         alpha=(rows,),
-        level_independent=True,
         contracting="per_query",
     )
     kind = draw(st.sampled_from(["empty", "every", "part"]))

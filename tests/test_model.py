@@ -129,13 +129,6 @@ REFUSED = [
         lambda inst: _with_levels(inst), "provider p1: empty level menu", id="empty-menu"
     ),
     pytest.param(
-        lambda inst: _with_levels(
-            inst, replace(inst.providers[0].levels[0], index=2), inst.providers[0].levels[1]
-        ),
-        "provider p1: level index 2 at position 1",
-        id="level-index",
-    ),
-    pytest.param(
         lambda inst: build_instance(**{**TWO_LEVELS, "fees": [-1, 2]}),
         "provider p1 level 1: negative fee",
         id="negative-fee",
@@ -256,6 +249,23 @@ def test_split_reads_level_independence_from_the_members_cells():
     assert p2.alpha == tuple(((micros,),) for micros in (9_000_000, 8_000_000, 7_000_000))
 
 
+def test_an_unflagged_explicit_model_reads_as_in_a_file():
+    # Built in code without the flag, level-varying costs validate, exactly
+    # as the same instance written without the flag and read back does.
+    inst = build_instance(beta=[[3, 4]], fees=[1, 2], demands=[1], alpha=[[[4, 5]]])
+    inst = replace(inst, exec_cost=ExecCostModel(mode="explicit", alpha=inst.exec_cost.alpha))
+    assert not inst.exec_cost.level_independent
+    assert validate_instance(inst).ok
+    doc = instance_to_json(inst)
+    del doc["exec_cost"]["level_independent"]
+    assert instance_from_json(doc) == inst
+
+
+def test_a_subproblem_without_levels_is_level_independent():
+    (sub,) = split_by_provider(build_instance(beta=[[1]], fees=[1], demands=[1], alpha=[[0]]))
+    assert replace(sub, fees=(), alpha=()).level_independent
+
+
 def test_split_resolves_min_levels():
     inst = build_instance(
         beta=[[1, 1]], fees=[1, 2], qualities=["1", "2"], demands=["1.5"], alpha=[[0, 0]]
@@ -281,7 +291,7 @@ def test_min_level_index_matches_linear_scan(qualities):
     provider = Provider(
         id="p1",
         levels=tuple(
-            QualityLevel(index=k + 1, quality=q, per_query_fee=F(k)) for k, q in enumerate(qualities)
+            QualityLevel(quality=q, per_query_fee=F(k)) for k, q in enumerate(qualities)
         ),
         oper_cost=((F(0),) * len(qualities),),
     )
@@ -323,7 +333,7 @@ def test_split_preserves_optimum():
                 Provider(
                     id=pid,
                     levels=tuple(
-                        QualityLevel(index=k + 1, quality=F(k + 1), per_query_fee=fees[k])
+                        QualityLevel(quality=F(k + 1), per_query_fee=fees[k])
                         for k in range(levels)
                     ),
                     oper_cost=tuple(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -41,8 +42,10 @@ def test_categorize_all_top():
 
 
 def test_categorize_rejects_level_dependent_costs():
-    sub = make_subproblem([F(1)], [F(1)], [1])
-    bad = type(sub)(**{**sub.__dict__, "level_independent": False})
+    sub = make_subproblem([F(1), F(2)], [F(1), F(2)], [1, 0])
+    assert sub.level_independent
+    bad = replace(sub, alpha=(((0,),), ((1,),)))
+    assert not bad.level_independent
     with pytest.raises(LevelDependentCosts):
         categorize(bad)
 
@@ -193,12 +196,13 @@ def test_fees_that_do_not_strictly_increase_are_refused(fees):
 
 def test_fractional_recovery_path():
     # Mixing two cost-tied binary optima yields a genuinely fractional
-    # optimal opening vector; the breakpoint substitution must recover a
-    # binary plan with the same objective.
+    # optimal opening vector; the breakpoint substitution must recover an
+    # optimal open set, and its objective (the reduced LP's optimum plus the
+    # substitution's constant) must be the brute-force optimum.
     rng = random.Random(4242)
     exercised = 0
     for _ in range(400):
-        levels = rng.randint(2, 5)
+        levels = rng.randint(2, 6)
         beta = [F(rng.randint(0, 6)) for _ in range(levels)]
         fees = []
         acc = F(0)
@@ -226,14 +230,13 @@ def test_fractional_recovery_path():
                 optimal_supports.append(set(opens))
         if len(optimal_supports) < 2:
             continue
-        s1, s2 = optimal_supports[0], optimal_supports[1]
+        s1, s2 = rng.sample(optimal_supports, 2)
         y_frac = [
             (F(int(l in s1)) + F(int(l in s2))) / 2 for l in range(1, levels + 1)
         ]
-        from datamarket.single_dc import solve_from_fractional
-
         plan = solve_from_fractional(beta, fees, counts, y_frac)
         assert plan.objective == best
+        assert set(plan.open_levels) in optimal_supports
         exercised += 1
     assert exercised > 20
 
